@@ -21,6 +21,7 @@ from vidcorr.numerics import (
     as_tensor,
     bicubic_resize_2d,
     concat,
+    gather_rows,
     gelu,
     get_default_dtype,
     l2_normalize_rows,
@@ -334,8 +335,20 @@ def _head(x, params, config):
     return add(matmul(x, params["head/out_weight"]), params["head/out_bias"])
 
 
-def forward_batch(seq, params, config):
+def token_rows(seq, crops, positions):
+    """Flat indices into the B * (1 + P) tokens of ``seq``, for
+    :func:`forward_batch`'s ``rows``: token ``positions[i]`` (0 = class
+    token, 1 + j = patch j) of crop ``crops[i]``."""
+    return np.asarray(crops) * (1 + seq.num_patches) + np.asarray(positions)
+
+
+def forward_batch(seq, params, config, rows=None):
     """(cls_logits (B, k), patch_logits (B, P, k), features_by_layer).
+
+    rows: optional flat indices into the B * (1 + P) tokens (see
+    :func:`token_rows`). The backbone always sees every token; given
+    rows, the head runs on those tokens only and the result is
+    (row_logits (len(rows), k), None, features_by_layer).
 
     With depth 0 the head consumes the embedded tokens directly and the
     final norm is skipped.
@@ -343,8 +356,13 @@ def forward_batch(seq, params, config):
     x, features = _run_blocks(seq, params, config)
     if config.depth > 0:
         x = layer_norm(x, params["final_norm/gamma"], params["final_norm/beta"])
+    if rows is not None:
+        x = gather_rows(reshape(x, (seq.batch * (1 + seq.num_patches), config.embed_dim)),
+                        rows)
     logits = _head(x, params, config)
     _check_finite(logits, "projection head")
+    if rows is not None:
+        return logits, None, features
     p = seq.num_patches
     cls_logits = reshape(narrow(logits, 1, 0, 1), (seq.batch, config.proj_dim))
     patch_logits = narrow(logits, 1, 1, p)

@@ -7,6 +7,7 @@ named substreams keyed by step number, so training is reproducible
 byte-for-byte and resumable mid-run without replaying work.
 """
 
+import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,13 +21,14 @@ from vidcorr.encoder import (
     extract_inference_features,
     forward_batch,
     patchify_batch,
+    token_rows,
 )
 from vidcorr.metrics import aggregate, report, score_track
 from vidcorr.numerics import (
     Rng,
+    Tensor,
     add,
     backward,
-    gather_rows,
     l2_normalize_rows,
     named_list_bytes,
     narrow,
@@ -41,9 +43,10 @@ from vidcorr.objectives import (
     center_update,
     ema_update,
     loss_in_aff,
-    loss_in_mim,
+    loss_in_mim,  # noqa: F401  re-exported: perfbench traces harness.loss_in_mim
     loss_out_g2g,
     loss_out_l2g,
+    masked_ce_rows,
     student_distribution,
     teacher_distribution,
     total_loss,
@@ -235,15 +238,32 @@ CKPT_MAGIC = b"VCKP"
 CKPT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read back; the message names it."""
+
+
 @dataclass
 class Checkpoint:
     version: int
     step: int
     config_text: str
     records: list  # ordered (name, array)
+    path: str = ""
 
     def record_dict(self):
         return dict(self.records)
+
+    def load_into(self, targets):
+        """Copy records into tensors; targets are (record name, Tensor)
+        pairs, and each record must exist with its tensor's shape."""
+        recs = self.record_dict()
+        for key, t in targets:
+            if key not in recs:
+                raise CheckpointError(f"{self.path}: no record {key!r}")
+            if recs[key].shape != t.shape:
+                raise CheckpointError(f"{self.path}: record {key!r} has shape "
+                                      f"{recs[key].shape}, want {t.shape}")
+            t.data = recs[key].astype(t.dtype, copy=True)
 
 
 def checkpoint_bytes(student, teacher, opt_state, step, config_text):
@@ -259,53 +279,66 @@ def checkpoint_bytes(student, teacher, opt_state, step, config_text):
 
 
 def save_checkpoint(path, student, teacher, opt_state, step, config_text):
-    Path(path).write_bytes(checkpoint_bytes(student, teacher, opt_state, step,
-                                            config_text))
-    return Path(path)
+    """Write through a temporary file in the same directory and rename
+    it into place, so a crash never leaves a half-written checkpoint."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(checkpoint_bytes(student, teacher, opt_state, step,
+                                         config_text))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def load_checkpoint(path):
     buf = Path(path).read_bytes()
     if buf[:4] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(buf) < 17:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
     version = buf[4]
     if version != CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    step = struct.unpack_from("<Q", buf, 5)[0]
-    cfg_len = struct.unpack_from("<I", buf, 13)[0]
-    config_text = buf[17:17 + cfg_len].decode("utf-8")
-    records, _ = parse_named_list(buf, 17 + cfg_len)
-    return Checkpoint(version, step, config_text, records)
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    step, cfg_len = struct.unpack_from("<QI", buf, 5)
+    try:
+        config_text = buf[17:17 + cfg_len].decode("utf-8")
+        records, _ = parse_named_list(buf, 17 + cfg_len)
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from None
+    return Checkpoint(version, step, config_text, records, str(path))
 
 
 def restore_state(ckpt, run):
     """Rebuild (student, teacher, opt_state) from checkpoint records."""
-    recs = ckpt.record_dict()
     student = EncoderParams.init(run.model, Rng(run.seed).substream("init"))
-    for name, t in student.named_parameters():
-        t.data = recs[f"student/{name}"].astype(t.dtype, copy=True)
+    ckpt.load_into((f"student/{n}", t) for n, t in student.named_parameters())
     teacher = TeacherState.from_student(student, run.ema_momentum,
                                         run.center_momentum)
-    for name, t in teacher.params.named_parameters():
-        t.data = recs[f"teacher/{name}"].astype(t.dtype, copy=True)
-    teacher.center_cls.data = recs["teacher/center_cls"].astype(
-        teacher.center_cls.dtype, copy=True)
-    teacher.center_patch.data = recs["teacher/center_patch"].astype(
-        teacher.center_patch.dtype, copy=True)
+    ckpt.load_into([(f"teacher/{n}", t) for n, t in teacher.params.named_parameters()]
+                   + [("teacher/center_cls", teacher.center_cls),
+                      ("teacher/center_patch", teacher.center_patch)])
     opt_items = [(n[len("opt/"):], arr) for n, arr in ckpt.records
                  if n.startswith("opt/")]
-    opt_state = OptState.from_named_list(opt_items)
+    try:
+        opt_state = OptState.from_named_list(opt_items)
+    except ValueError as e:
+        raise CheckpointError(f"{ckpt.path}: {e}") from None
+    if set(opt_state.m) != {name for name, _ in student.named_parameters()}:
+        raise CheckpointError(f"{ckpt.path}: optimizer moments do not match the model")
     return student, teacher, opt_state
 
 
 def params_from_checkpoint(path):
     """Inference-side loader: (EncoderParams without gradients, RunConfig)."""
     ckpt = load_checkpoint(path)
-    run = build_run_config(parse_config_text(ckpt.config_text))
-    recs = ckpt.record_dict()
+    try:
+        run = build_run_config(parse_config_text(ckpt.config_text))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config echo ({e})") from None
     params = EncoderParams.init(run.model, Rng(0), requires_grad=False)
-    for name, t in params.named_parameters():
-        t.data = recs[f"student/{name}"].astype(t.dtype, copy=True)
+    ckpt.load_into((f"student/{n}", t) for n, t in params.named_parameters())
     return params, run
 
 
@@ -316,97 +349,82 @@ def _stack_images(records):
     return np.stack([rec.image for rec in records])
 
 
-def _masked_rows(patch_logits, masks):
-    """Per frame, the (K, k) unit-norm rows of the masked positions of a
-    (L, P, k) logit block; feeds the affinity matrices."""
-    clip_len, p, k = patch_logits.shape
-    flat = reshape(patch_logits, (clip_len * p, k))
-    out = []
-    for i, pattern in enumerate(masks):
-        rows = i * p + np.nonzero(pattern.m)[0]
-        out.append(l2_normalize_rows(gather_rows(flat, rows)))
-    return out
+def step_losses(crop_sets, clip_masks, student, teacher, run):
+    """The four loss terms of one training step, each averaged over the
+    batch of clips.
 
+    crop_sets: one CropSet per clip; clip_masks: per clip one MaskPattern
+    per frame, or None where the gate is off (always None in g2g mode).
+    Returns (breakdown, t_cls, t_patch); the teacher's raw logits also
+    feed the center update.
 
-def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
-    """One optimization step over a batch of clips.
-
-    Returns (breakdown, lr, wd, gated_any, applied); applied is False
-    when a non-finite loss or gradient skipped the update."""
+    The teacher head runs on every token, because the center update
+    averages all of its patch logits. The student head runs only on the
+    rows the losses read: the class tokens of the unmasked globals and
+    of the locals, and the masked positions of the mask-token forward.
+    """
     view, model, temps = run.view, run.model, run.temp
     clip_len, m_locals = view.clip_len, view.locals_per_frame
     k = model.proj_dim
-    srng = rng.substream(f"step{step}")
     pairs = make_frame_pairs(clip_len)
-    gh, gw = model.token_grid(view.global_size, view.global_size)
-    num_tokens = gh * gw
-
-    # g2g mode trains on the global class-token pairs alone; frame and crop
-    # draws come from substreams untouched by the skipped mask draw, so both
-    # modes see identical views at a given seed
-    g2g_only = run.loss_mode == "g2g"
-
-    clips, crop_sets, clip_masks = [], [], []
-    for i, source in enumerate(group):
-        crng = srng.substream(f"clip{i}")
-        clip = sample_clip(source, crng.substream("frames"), view)
-        clips.append(clip)
-        crop_sets.append(make_crops(clip, crng.substream("crops"), view))
-        clip_masks.append(None if g2g_only else sample_clip_masks(
-            num_tokens, clip_len, crng.substream("mask"),
-            run.gate_probability, run.mask_ratio))
-
-    batch = len(group)
+    batch = len(crop_sets)
     global_images = _stack_images([rec for cs in crop_sets for rec in cs.globals_])
 
-    # teacher on unmasked globals; raw logits also feed the center update
     t_cls, t_patch, _ = forward_batch(
         patchify_batch(global_images, teacher.params, model), teacher.params, model)
     td_cls = teacher_distribution(t_cls, teacher, temps, "cls")
-    td_patch = teacher_distribution(t_patch, teacher, temps, "patch")
 
-    # student: unmasked globals for the class-pair terms, locals, and one masked
-    # forward restricted to the gated-in clips
-    s_cls, _, _ = forward_batch(
-        patchify_batch(global_images, student, model), student, model)
+    def class_logits(images):
+        seq = patchify_batch(images, student, model)
+        rows = token_rows(seq, np.arange(seq.batch), 0)
+        return forward_batch(seq, student, model, rows=rows)[0]
+
+    s_cls = class_logits(global_images)
     l_cls = None
-    if not g2g_only:
-        local_images = _stack_images(
-            [rec for cs in crop_sets for per_frame in cs.locals_ for rec in per_frame])
-        l_cls, _, _ = forward_batch(
-            patchify_batch(local_images, student, model), student, model)
+    if run.loss_mode != "g2g":
+        l_cls = class_logits(_stack_images(
+            [rec for cs in crop_sets for per_frame in cs.locals_ for rec in per_frame]))
 
+    # one mask-token forward over the gated-in clips; its rows come out
+    # clip by clip, frame by frame, positions ascending, so each clip's
+    # block starts at the running sum of the earlier clips' masked counts
     gated = [i for i in range(batch) if clip_masks[i] is not None]
-    sd_patch = None
     if gated:
-        rows = np.concatenate([np.arange(i * clip_len, (i + 1) * clip_len)
-                               for i in gated])
+        crops = np.concatenate([np.arange(i * clip_len, (i + 1) * clip_len)
+                                for i in gated])
+        masks = np.stack([pat.m for i in gated for pat in clip_masks[i]])
         masked_seq = apply_mask_tokens(
-            patchify_batch(global_images[rows], student, model),
-            np.stack([pat.m for i in gated for pat in clip_masks[i]]),
-            student)
-        _, s_patch_masked, _ = forward_batch(masked_seq, student, model)
-        sd_patch = student_distribution(s_patch_masked, temps)
+            patchify_batch(global_images[crops], student, model), masks, student)
+        crop_idx, patch_idx = np.nonzero(masks)
+        s_rows, _, _ = forward_batch(masked_seq, student, model,
+                                     rows=token_rows(masked_seq, crop_idx, 1 + patch_idx))
+        sd_rows = student_distribution(s_rows, temps)
+        t_rows = t_patch.data[crops[crop_idx], patch_idx]
 
     g2g_terms, l2g_terms, mim_terms, aff_terms = [], [], [], []
+    offset = 0
     for i in range(batch):
         td_i = narrow(td_cls, 0, i * clip_len, clip_len)
         sd_i = student_distribution(narrow(s_cls, 0, i * clip_len, clip_len), temps)
         g2g_terms.append(loss_out_g2g(td_i, sd_i, pairs))
-        if not g2g_only:
+        if l_cls is not None:
             loc_i = student_distribution(
                 reshape(narrow(l_cls, 0, i * clip_len * m_locals, clip_len * m_locals),
                         (clip_len, m_locals, k)), temps)
             l2g_terms.append(loss_out_l2g(td_i, loc_i, pairs))
         if clip_masks[i] is None:
             continue
-        gi = gated.index(i)
-        tdp_i = narrow(td_patch, 0, i * clip_len, clip_len)
-        sdp_i = narrow(sd_patch, 0, gi * clip_len, clip_len)
-        mim_terms.append(loss_in_mim(tdp_i, sdp_i, clip_masks[i]))
-        q_t = _masked_rows(narrow(t_patch, 0, i * clip_len, clip_len), clip_masks[i])
-        q_s = _masked_rows(
-            narrow(s_patch_masked, 0, gi * clip_len, clip_len), clip_masks[i])
+        counts = [int(np.count_nonzero(pat.m)) for pat in clip_masks[i]]
+        n_rows = sum(counts)
+        tdp_i = teacher_distribution(Tensor(t_rows[offset:offset + n_rows]),
+                                     teacher, temps, "patch")
+        mim_terms.append(masked_ce_rows(tdp_i, narrow(sd_rows, 0, offset, n_rows),
+                                        clip_len))
+        q_t, q_s = [], []
+        for count in counts:
+            q_t.append(l2_normalize_rows(Tensor(t_rows[offset:offset + count])))
+            q_s.append(l2_normalize_rows(narrow(s_rows, 0, offset, count)))
+            offset += count
         t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher, j, j + 1)
                  for j in range(clip_len - 1)]
         s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student, j, j + 1)
@@ -423,11 +441,40 @@ def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
 
     breakdown = total_loss(batch_mean(g2g_terms), batch_mean(l2g_terms),
                            batch_mean(mim_terms), batch_mean(aff_terms))
+    return breakdown, t_cls, t_patch
+
+
+def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
+    """One optimization step over a batch of clips.
+
+    Returns (breakdown, lr, wd, gated_any, applied); applied is False
+    when a non-finite loss or gradient skipped the update."""
+    view, model = run.view, run.model
+    srng = rng.substream(f"step{step}")
+    gh, gw = model.token_grid(view.global_size, view.global_size)
+
+    # g2g mode trains on the global class-token pairs alone; frame and crop
+    # draws come from substreams untouched by the skipped mask draw, so both
+    # modes see identical views at a given seed
+    g2g_only = run.loss_mode == "g2g"
+
+    crop_sets, clip_masks = [], []
+    for i, source in enumerate(group):
+        crng = srng.substream(f"clip{i}")
+        clip = sample_clip(source, crng.substream("frames"), view)
+        crop_sets.append(make_crops(clip, crng.substream("crops"), view))
+        clip_masks.append(None if g2g_only else sample_clip_masks(
+            gh * gw, view.clip_len, crng.substream("mask"),
+            run.gate_probability, run.mask_ratio))
+    gated = any(masks is not None for masks in clip_masks)
+
+    breakdown, t_cls, t_patch = step_losses(crop_sets, clip_masks, student,
+                                            teacher, run)
     lr = lr_at(step, opt_config)
     wd = wd_at(step, opt_config)
 
     if not np.isfinite(breakdown.total.data):
-        return breakdown, lr, wd, bool(gated), False
+        return breakdown, lr, wd, gated, False
 
     backward(breakdown.total)
     grads = {name: t.grad for name, t in student.named_parameters()}
@@ -437,7 +484,7 @@ def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
     if applied:
         ema_update(teacher, student)
         center_update(teacher, t_cls, t_patch)
-    return breakdown, lr, wd, bool(gated), applied
+    return breakdown, lr, wd, gated, applied
 
 
 @dataclass

@@ -13,6 +13,7 @@ the choice only affects speed.
 """
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,10 +209,9 @@ def propagate_video(features, first_mask, config, backend=None):
     first_labels = init_labels(first_mask, (h, w))
 
     outputs = [first_labels]
-    recent = []
+    recent = deque(maxlen=config.context_size)  # only these ever join a context
     for t in range(1, len(maps)):
-        tail = recent[-config.context_size:] if config.context_size > 0 else []
-        context = [(maps[0], first_labels)] + tail
+        context = [(maps[0], first_labels)] + list(recent)
         predicted = propagate_frame(maps[t], context, config, backend=backend)
         outputs.append(predicted)
         recent.append((maps[t], predicted))

@@ -17,8 +17,9 @@ from vidcorr.encoder import (
     patch_pos_embed,
     patchify,
     patchify_batch,
+    token_rows,
 )
-from vidcorr.numerics import Rng, Tensor, grad_check, mul, tensor_sum
+from vidcorr.numerics import Rng, Tensor, backward, grad_check, mul, tensor_sum
 
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=1, mlp_ratio=2,
              proj_layers=1, proj_dim=8, proj_hidden=16, pe_base_resolution=2,
@@ -289,6 +290,30 @@ class TestForward:
             cls_s, patch_s, _ = forward(patchify(img, params, config), params, config)
             assert np.allclose(cls_b.data[i], cls_s.data, atol=1e-10)
             assert np.allclose(patch_b.data[i], patch_s.data, atol=1e-10)
+
+    def test_head_on_selected_rows_matches_all_rows(self):
+        """rows runs the head on chosen tokens only; they equal the same
+        tokens of the all-rows forward, and gradients reach the chosen
+        rows alone."""
+        config, params, _ = micro_setup(seed=9)
+        images = [Rng(i).uniform(size=(4, 4, 3)) for i in range(3)]
+        seq = patchify_batch(images, params, config)
+        cls_all, patch_all, _ = forward_batch(seq, params, config)
+        crops, positions = np.array([2, 0, 1, 2]), np.array([0, 3, 0, 4])
+        rows = token_rows(seq, crops, positions)
+        assert rows.tolist() == [10, 3, 5, 14]
+        picked, none, _ = forward_batch(seq, params, config, rows=rows)
+        assert none is None and picked.shape == (4, config.proj_dim)
+        full = np.concatenate([cls_all.data[:, None], patch_all.data], axis=1)
+        np.testing.assert_allclose(picked.data, full[crops, positions], rtol=1e-12, atol=1e-14)
+
+        tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
+        picked, _, _ = forward_batch(TokenSequence(tokens, seq.grid), params, config,
+                                     rows=token_rows(seq, [1], [2]))
+        backward(tensor_sum(picked))
+        # depth 1: attention mixes every token of crop 1 into the picked row
+        touched = np.abs(tokens.grad).sum(axis=-1) > 0
+        assert touched[1].all() and not touched[[0, 2]].any()
 
     def test_nonfinite_names_block(self):
         config, params, image = micro_setup()

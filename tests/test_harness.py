@@ -14,6 +14,7 @@ import pytest
 
 from vidcorr.encoder import EncoderParams, ModelConfig
 from vidcorr.harness import (
+    CheckpointError,
     build_run_config,
     canonical_config_text,
     checkpoint_bytes,
@@ -37,7 +38,7 @@ from vidcorr.harness.synthetic import (
     random_scene_spec,
     render_scene,
 )
-from vidcorr.numerics import Rng
+from vidcorr.numerics import Rng, named_list_bytes
 from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState
 from vidcorr.propagation import PropagationConfig
@@ -298,6 +299,34 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_missing_record_names_the_file(self, tmp_path):
+        path, run, student, *_ = self.make(tmp_path)
+        path.write_bytes(without_record(path.read_bytes(), student, "head/out_bias"))
+        with pytest.raises(CheckpointError, match=f"{path}.*student/head/out_bias"):
+            params_from_checkpoint(path)
+        with pytest.raises(CheckpointError, match=str(path)):
+            restore_state(load_checkpoint(path), run)
+
+    def test_truncated_record_names_the_file(self, tmp_path):
+        path, *_ = self.make(tmp_path)
+        buf = path.read_bytes()
+        path.write_bytes(buf[:buf.index(b"student/patch_proj/weight") + 60])
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path, run, student, teacher, opt_state, text = self.make(tmp_path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("vidcorr.harness.os.replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, student, teacher, opt_state, 8, text)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
 
 class TestTrainingLoop:
     def test_same_seed_same_bytes(self, dataset_root, tmp_path):
@@ -467,6 +496,13 @@ class TestEvaluation:
         assert first.max() >= 1  # the seeded object survives quantization
 
 
+def without_record(buf, student, name):
+    """Checkpoint bytes with the record student/<name> cut out."""
+    entry = named_list_bytes([(f"student/{name}", student[name].data)])
+    assert buf.count(entry) == 1
+    return buf.replace(entry, b"")
+
+
 def cli_sets(pairs):
     args = []
     for key, value in pairs.items():
@@ -524,6 +560,27 @@ class TestCli:
         assert main(["eval", "--checkpoint", str(missing),
                      "--data", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def eval_broken(self, tmp_path, capsys, damage):
+        run = build_run_config(micro_pairs(tmp_path, tmp_path / "o"))
+        student, teacher, opt_state = micro_state(run)
+        path = save_checkpoint(tmp_path / "ck.ckpt", student, teacher, opt_state,
+                               1, canonical_config_text(run))
+        path.write_bytes(damage(path.read_bytes(), student))
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert str(path) in err and "usage error" not in err
+        return code
+
+    def test_checkpoint_missing_a_record_exits_2(self, tmp_path, capsys):
+        assert self.eval_broken(
+            tmp_path, capsys,
+            lambda buf, student: without_record(buf, student, "cls_token")) == 2
+
+    def test_checkpoint_cut_mid_record_exits_2(self, tmp_path, capsys):
+        assert self.eval_broken(
+            tmp_path, capsys,
+            lambda buf, student: buf[:buf.index(b"student/mask_token") + 30]) == 2
 
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check"]) == 0

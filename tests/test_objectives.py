@@ -42,7 +42,8 @@ from vidcorr.objectives import (
     total_loss,
     zero_loss,
 )
-from vidcorr.views import MaskPattern, make_frame_pairs
+from vidcorr.harness import RunConfig, step_losses
+from vidcorr.views import CropRecord, CropSet, MaskPattern, ViewConfig, make_frame_pairs
 
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=2, mlp_ratio=2,
              proj_layers=1, proj_dim=6, proj_hidden=12,
@@ -621,4 +622,90 @@ class TestEndToEnd:
         # keeps truncation ~1e-5 with roundoff still orders below that.
         probe = Tensor(base[name].data.reshape(-1).copy(), name=name)
         report = grad_check(f, probe, h=5e-6)
+        assert report.passed(1e-4), f"{name}: {report}"
+
+
+def crop_set(g, clip_len, m, global_size, local_size):
+    def record(size):
+        return CropRecord(g.uniform(size=(size, size, 3)), None, False, None)
+    return CropSet([record(global_size) for _ in range(clip_len)],
+                   [[record(local_size) for _ in range(m)] for _ in range(clip_len)])
+
+
+def pattern(positions, tokens=9):
+    bits = np.zeros(tokens, dtype=bool)
+    bits[list(positions)] = True
+    return MaskPattern(bits, len(positions) / tokens, len(positions))
+
+
+# per clip one MaskPattern per frame (clip_len 2), or None when the gate is off;
+# the gated clips mask K = 2 and K = 3 of 9 tokens
+GATED_K2 = [pattern([0, 4]), pattern([5, 8])]
+GATED_K3 = [pattern([1, 2, 7]), pattern([0, 3, 6])]
+
+
+class TestStepLosses:
+    """harness.step_losses, the training step's loss assembly, whose
+    student head sees only the rows the losses read, against the
+    all-rows pipeline_loss reference."""
+
+    def setup_method(self):
+        self.config, self.student = micro_params(50)
+        self.teacher = TeacherState.from_student(self.student)
+        g = np.random.default_rng(51)
+        k = self.config.proj_dim
+        self.teacher.center_cls.data = g.normal(scale=0.1, size=k)
+        self.teacher.center_patch.data = g.normal(scale=0.1, size=k)
+        self.run = RunConfig(view=ViewConfig(clip_len=2, locals_per_frame=2),
+                             model=self.config)
+        # 6x6 globals give a 3x3 token grid; 4x4 locals a 2x2 one
+        self.crop_sets = [crop_set(g, 2, 2, 6, 4) for _ in range(3)]
+
+    def reference(self, student, crop_sets, clip_masks):
+        """Batch mean of pipeline_loss's per-clip terms."""
+        terms = np.zeros(5)
+        for cs, masks in zip(crop_sets, clip_masks):
+            breakdown = pipeline_loss(
+                student, self.teacher, self.run.temp, self.config,
+                np.stack([r.image for r in cs.globals_]),
+                np.stack([r.image for per_frame in cs.locals_ for r in per_frame]),
+                masks, make_frame_pairs(2))
+            terms += breakdown.floats()
+        return terms / len(crop_sets)
+
+    @pytest.mark.parametrize("clip_masks", [
+        [GATED_K2, GATED_K3],
+        [GATED_K3, None, GATED_K2],
+        [None, None],
+    ], ids=["two-gated", "gate-off-between", "all-gate-off"])
+    def test_terms_match_all_rows_reference(self, clip_masks):
+        crop_sets = self.crop_sets[:len(clip_masks)]
+        breakdown, t_cls, t_patch = step_losses(crop_sets, clip_masks, self.student,
+                                                self.teacher, self.run)
+        expected = self.reference(self.student, crop_sets, clip_masks)
+        np.testing.assert_allclose(breakdown.floats(), expected, rtol=1e-12, atol=0)
+        gated = any(m is not None for m in clip_masks)
+        assert (breakdown.in_mim.data > 0) == gated
+        assert (breakdown.in_aff.data > 0) == gated
+        assert t_cls.shape == (2 * len(clip_masks), self.config.proj_dim)
+        assert t_patch.shape == (2 * len(clip_masks), 9, self.config.proj_dim)
+
+    @pytest.mark.parametrize("name", ["head/out_weight", "mask_token"])
+    def test_total_gradient_fidelity(self, name):
+        """d(total)/d(param) through step_losses vs central differences
+        at 1e-4, with two gated clips of different K and one gate-off."""
+        base = dict(self.student.named_parameters())
+        shape = base[name].shape
+        clip_masks = [GATED_K2, None, GATED_K3]
+
+        def f(flat):
+            tensors = {n: (reshape(flat, shape) if n == name else t)
+                       for n, t in base.items()}
+            candidate = EncoderParams(self.config, tensors)
+            return step_losses(self.crop_sets, clip_masks, candidate, self.teacher,
+                               self.run)[0].total
+
+        probe = Tensor(base[name].data.reshape(-1).copy(), name=name)
+        report = grad_check(f, probe, h=5e-6)
+        assert np.abs(report.analytic).max() > 0
         assert report.passed(1e-4), f"{name}: {report}"
