@@ -501,8 +501,8 @@ def train(run, resume=None, progress=None):
 
     resume: path to a checkpoint from the same config; steps already
     covered are skipped without drawing randomness, so a resumed run is
-    bitwise identical to an uninterrupted one. Three consecutive
-    non-finite steps abort."""
+    bitwise identical to an uninterrupted one, train.log included. Three
+    consecutive non-finite steps abort."""
     data_root = Path(run.data)
     sources = load_store(data_root / "train")
     for source in sources:
@@ -532,6 +532,10 @@ def train(run, resume=None, progress=None):
     opt_config = make_opt_config(run, steps_per_epoch)
 
     log_path = out / "train.log"
+    if resume is not None and log_path.exists():
+        # lines past the checkpoint's step are logged again below
+        kept = log_path.read_text().splitlines(keepends=True)[:start_step]
+        log_path.write_text("".join(kept))
     log_lines = []
     checkpoints = []
     skip_streak = 0
@@ -579,8 +583,7 @@ def train(run, resume=None, progress=None):
 # -- evaluation ------------------------------------------------------------------
 
 
-def evaluate(params, model_config, prop_config, eval_root, tolerance=None,
-             backend=None):
+def evaluate(params, model_config, prop_config, eval_root, tolerance=None):
     """Label propagation over every eval video, scored against the
     stored masks. Returns (SequenceScores, report text)."""
     sources = load_store(Path(eval_root))
@@ -594,8 +597,7 @@ def evaluate(params, model_config, prop_config, eval_root, tolerance=None,
         features = [extract_inference_features(f, params, model_config).data
                     for f in frames]
         first_mask = source.mask(0)
-        label_maps = propagate_video(features, first_mask, prop_config,
-                                     backend=backend)
+        label_maps = propagate_video(features, first_mask, prop_config)
         pred = [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
         truth = [source.mask(i) for i in range(len(source))]
         for obj in range(1, int(first_mask.max()) + 1):
@@ -606,8 +608,7 @@ def evaluate(params, model_config, prop_config, eval_root, tolerance=None,
     return scores, report(scores)
 
 
-def propagate_and_save(params, model_config, prop_config, video_dir, out_dir,
-                       backend=None):
+def propagate_and_save(params, model_config, prop_config, video_dir, out_dir):
     """Inference on one video directory: writes predicted mask_*.pgm."""
     from vidcorr.views import VideoSource, write_pgm
 
@@ -617,8 +618,7 @@ def propagate_and_save(params, model_config, prop_config, video_dir, out_dir,
     frames = [source[i] for i in range(len(source))]
     features = [extract_inference_features(f, params, model_config).data
                 for f in frames]
-    label_maps = propagate_video(features, source.mask(0), prop_config,
-                                 backend=backend)
+    label_maps = propagate_video(features, source.mask(0), prop_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

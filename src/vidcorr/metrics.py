@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 
 @dataclass
@@ -76,6 +75,25 @@ def default_tolerance(shape):
     return max(1, math.ceil(0.008 * diag))
 
 
+def dilate(binary, tolerance):
+    """Cells within Euclidean distance `tolerance` of a foreground cell:
+    the union of the grid shifted by every integer offset (dy, dx) with
+    sqrt(dy**2 + dx**2) <= tolerance, the test a distance transform
+    thresholded at `tolerance` makes."""
+    fg = np.asarray(binary, dtype=bool)
+    h, w = fg.shape
+    reach = max(0, min(math.floor(tolerance), max(h, w)))  # farther shifts leave the grid
+    steps = np.arange(-reach, reach + 1)
+    dy, dx = np.meshgrid(steps, steps, indexing="ij")
+    disk = np.sqrt(dy * dy + dx * dx) <= tolerance
+    padded = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
+    padded[reach:reach + h, reach:reach + w] = fg
+    out = np.zeros_like(fg)
+    for y, x in zip(dy[disk].tolist(), dx[disk].tolist()):
+        out |= padded[reach + y:reach + y + h, reach + x:reach + x + w]
+    return out
+
+
 def contour_accuracy_F(pred, truth, object_id, tolerance=None):
     """Boundary F-measure with distance-tolerance matching.
 
@@ -93,10 +111,8 @@ def contour_accuracy_F(pred, truth, object_id, tolerance=None):
         return 1.0
     if not p_bnd.any() or not t_bnd.any():
         return 0.0
-    dist_to_truth = distance_transform_edt(~t_bnd)
-    dist_to_pred = distance_transform_edt(~p_bnd)
-    precision = float((dist_to_truth[p_bnd] <= tolerance).mean())
-    recall = float((dist_to_pred[t_bnd] <= tolerance).mean())
+    precision = float(dilate(t_bnd, tolerance)[p_bnd].mean())
+    recall = float(dilate(p_bnd, tolerance)[t_bnd].mean())
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)

@@ -6,35 +6,27 @@ context cell within a square radius, keeps the global top_k across all
 context frames, softmaxes them at a small temperature, and emits the
 weighted combination of the corresponding label vectors.
 
-Two interchangeable kernels do the per-frame work: a compiled extension
-(preferred) and a pure-Python fallback, selected at import time. They
-are bitwise identical at float64 by construction (see _recipe.md), so
-the choice only affects speed.
+The per-frame work is one numpy kernel that follows the float64 recipe
+in _recipe.md bit for bit: a BLAS product ranks candidates only
+approximately, an error bound keeps every candidate that could reach the
+top_k, and those few are recomputed and ranked exactly.
 """
 
 import logging
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from vidcorr.propagation._kernel_py import propagate_frame_py
-
-try:
-    from vidcorr.propagation._kernel import propagate_frame_c
-    _DEFAULT_BACKEND = "compiled"
-except ImportError:  # extension not built; stay on the slow path
-    propagate_frame_c = None
-    _DEFAULT_BACKEND = "python"
 
 log = logging.getLogger(__name__)
 
 _shortage_logged = False
 
-
-def active_backend():
-    """Name of the kernel selected at import: 'compiled' or 'python'."""
-    return _DEFAULT_BACKEND
+# Most similarity entries one tile's approximate product may hold; tiles
+# of whole target rows stay under it, so large grids never build the
+# full (h*w) x (n*h*w) matrix.
+_TILE_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -154,7 +146,106 @@ def _check_context(target, context):
     return h, w, c
 
 
-def propagate_frame(target, context, config, backend=None):
+def _rows_per_tile(h, w, frames, radius):
+    """Target rows per tile: the most whose approximate product against
+    the context rows in their window stays within _TILE_ELEMENTS."""
+    rows = 1
+    while rows < h and ((rows + 1) * w * frames * min(rows + 1 + 2 * radius, h) * w
+                        <= _TILE_ELEMENTS):
+        rows += 1
+    return rows
+
+
+def _survivors(target, context, radius, top_k):
+    """(target cell, flat context index) pairs that may reach a target's
+    top_k, found from BLAS similarities whose summation order differs
+    from the recipe.
+
+    Each approximate similarity lies within gamma_d*|t|*|c| of the
+    recipe's sequential sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), so every top_k member sits within twice that of the
+    k-th largest approximate value. The margin takes gamma for d + 2
+    terms, which also covers rounding in the norms, the margin itself and
+    the subtraction from the k-th value."""
+    n, h, w, d = context.shape
+    flat_target = target.reshape(h * w, d)
+    u = 2.0 ** -53
+    gamma = (d + 2) * u / (1.0 - (d + 2) * u)
+    t_norm = math.sqrt(float(np.einsum("ij,ij->i", flat_target, flat_target).max()))
+    flat_context = context.reshape(n * h * w, d)
+    c_norm = math.sqrt(float(np.einsum("ij,ij->i", flat_context, flat_context).max()))
+    margin = 4.0 * gamma * t_norm * c_norm
+
+    rows = _rows_per_tile(h, w, n, radius)
+    x_near = np.abs(np.arange(w)[:, None] - np.arange(w)[None, :]) <= radius
+    cells, sources = [], []
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        lo, hi = max(y0 - radius, 0), min(y1 - 1 + radius, h - 1) + 1
+        band = (hi - lo) * w
+        # (context cell in band, target cell in tile), one block per frame
+        sims = np.matmul(context[:, lo:hi].reshape(n, band, d),
+                         flat_target[y0 * w:y1 * w].T)
+        y_near = np.abs(np.arange(lo, hi)[:, None] - np.arange(y0, y1)[None, :]) <= radius
+        near = (y_near[:, None, :, None] & x_near[None, :, None, :]).reshape(band, -1)
+        np.copyto(sims, -np.inf, where=~near)
+        sims = sims.reshape(n * band, -1)
+        kk = min(top_k, n * band)
+        kth = np.partition(sims, n * band - kk, axis=0)[n * band - kk]
+        keep = (sims >= kth - margin) & (sims > -np.inf)
+        col, cell = np.nonzero(keep)
+        cells.append(y0 * w + cell)
+        sources.append((col // band) * (h * w) + lo * w + col % band)
+    return np.concatenate(cells), np.concatenate(sources)
+
+
+def _propagate(target, context, labels, radius, top_k, temperature):
+    """(h, w, c) labels for target (h, w, d) from context (n, h, w, d)
+    and its labels (n, h, w, c), all float64, bitwise as in _recipe.md."""
+    n, h, w, d = context.shape
+    c = labels.shape[3]
+    cells, sources = _survivors(target, context, radius, top_k)
+
+    # exact similarities, summed over d in index order
+    t_rows = np.ascontiguousarray(target.reshape(h * w, d)[cells].T)
+    c_rows = np.ascontiguousarray(context.reshape(n * h * w, d)[sources].T)
+    sims = np.zeros(len(cells))
+    for k in range(d):
+        sims = sims + t_rows[k] * c_rows[k]
+
+    frames, grid_cells = np.divmod(sources, h * w)
+    order = np.lexsort((grid_cells, -frames, -sims, cells))
+    cells, sims, sources = cells[order], sims[order], sources[order]
+    counts = np.bincount(cells, minlength=h * w)
+    rank = np.arange(len(cells)) - (np.cumsum(counts) - counts)[cells]
+    kept = rank < top_k
+    cells, rank, sims, sources = cells[kept], rank[kept], sims[kept], sources[kept]
+
+    # rank-order softmax with libm exp, then rank-order label sums
+    peak = np.empty(h * w)
+    peak[cells[rank == 0]] = sims[rank == 0]
+    scaled = (sims - peak[cells]) / temperature
+    slots = min(top_k, int(counts.max()))
+    exps = np.zeros((h * w, slots))
+    exps[cells, rank] = [math.exp(v) for v in scaled.tolist()]
+    kept_labels = np.zeros((h * w, slots, c))
+    kept_labels[cells, rank] = labels.reshape(n * h * w, c)[sources]
+    # empty slots hold 0, which leaves every running sum unchanged
+    total = np.zeros(h * w)
+    for r in range(slots):
+        total = total + exps[:, r]
+    acc = np.zeros((h * w, c))
+    for r in range(slots):
+        acc = acc + (exps[:, r] / total)[:, None] * kept_labels[:, r]
+    norm = np.zeros(h * w)
+    for k in range(c):
+        norm = norm + acc[:, k]
+    positive = norm > 0.0
+    acc[positive] = acc[positive] / norm[positive, None]
+    return acc.reshape(h, w, c)
+
+
+def propagate_frame(target, context, config):
     """Propagate labels from (FeatureMap, LabelMap) context pairs onto
     one target FeatureMap. Returns the target's LabelMap.
 
@@ -171,28 +262,14 @@ def propagate_frame(target, context, config, backend=None):
                     "using all of them", config.top_k, n)
         _shortage_logged = True
 
-    context_feats = np.ascontiguousarray(
-        np.stack([feats.grid for feats, _ in context], axis=0))
-    context_labels = np.ascontiguousarray(
-        np.stack([labels.grid for _, labels in context], axis=0))
-
-    if backend is None:
-        backend = _DEFAULT_BACKEND
-    if backend == "compiled":
-        if propagate_frame_c is None:
-            raise RuntimeError("compiled propagation kernel is not available")
-        kernel = propagate_frame_c
-    elif backend == "python":
-        kernel = propagate_frame_py
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    out = kernel(target.grid, context_feats, context_labels,
-                 config.radius, config.top_k, config.temperature)
+    context_feats = np.stack([feats.grid for feats, _ in context], axis=0)
+    context_labels = np.stack([labels.grid for _, labels in context], axis=0)
+    out = _propagate(target.grid, context_feats, context_labels,
+                     config.radius, config.top_k, config.temperature)
     return LabelMap(out)
 
 
-def propagate_video(features, first_mask, config, backend=None):
+def propagate_video(features, first_mask, config):
     """Carry first-frame labels through a whole video.
 
     features: one FeatureMap (or raw (h, w, d) grid) per frame
@@ -212,7 +289,7 @@ def propagate_video(features, first_mask, config, backend=None):
     recent = deque(maxlen=config.context_size)  # only these ever join a context
     for t in range(1, len(maps)):
         context = [(maps[0], first_labels)] + list(recent)
-        predicted = propagate_frame(maps[t], context, config, backend=backend)
+        predicted = propagate_frame(maps[t], context, config)
         outputs.append(predicted)
         recent.append((maps[t], predicted))
     return outputs

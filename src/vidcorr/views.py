@@ -348,8 +348,8 @@ def read_ppm(path):
 
 
 def read_pgm(path):
-    """(H, W) int32 object ids."""
-    return _read_pnm(path, b"P5", 1).astype(np.int32)
+    """(H, W) uint8 object ids, at the width the file stores them."""
+    return _read_pnm(path, b"P5", 1).copy()
 
 
 class VideoSource:

@@ -390,6 +390,30 @@ class TestTrainingLoop:
         assert resumed.log_lines == straight.log_lines[2:]
         assert (out / "checkpoint_001.ckpt").read_bytes() == final_bytes
 
+    def test_resumed_log_matches_uninterrupted_run(self, dataset_root, tmp_path):
+        """The interrupted run logs step 2 after its last checkpoint (at
+        step 2); the resumed run logs it again, and train.log keeps it
+        once."""
+        out = tmp_path / "o"
+        pairs = micro_pairs(dataset_root, out)
+        train(build_run_config(pairs))
+        straight = (out / "train.log").read_bytes()
+        for p in out.iterdir():
+            p.unlink()
+
+        class Stop(Exception):
+            pass
+
+        def interrupt(step, breakdown):
+            if step == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            train(build_run_config(pairs), progress=interrupt)
+        assert len((out / "train.log").read_text().splitlines()) == 3
+        train(build_run_config(pairs), resume=out / "checkpoint_000.ckpt")
+        assert (out / "train.log").read_bytes() == straight
+
     def test_resume_rejects_other_configs(self, dataset_root, tmp_path):
         out = tmp_path / "o"
         train(build_run_config(micro_pairs(dataset_root, out, epochs=1,

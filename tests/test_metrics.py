@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from vidcorr.metrics import (
     MaskRaster,
@@ -13,6 +14,7 @@ from vidcorr.metrics import (
     boundary_pixels,
     contour_accuracy_F,
     default_tolerance,
+    dilate,
     region_similarity_J,
     report,
     score_track,
@@ -58,6 +60,22 @@ def oracle_f(pred, truth, object_id, tolerance):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def edt_f(pred, truth, object_id, tolerance):
+    """Boundary F-measure with the matching done by scipy's exact
+    Euclidean distance transform."""
+    p_bnd = boundary_pixels(np.asarray(pred) == object_id)
+    t_bnd = boundary_pixels(np.asarray(truth) == object_id)
+    if not p_bnd.any() and not t_bnd.any():
+        return 1.0
+    if not p_bnd.any() or not t_bnd.any():
+        return 0.0
+    precision = float((distance_transform_edt(~t_bnd)[p_bnd] <= tolerance).mean())
+    recall = float((distance_transform_edt(~p_bnd)[t_bnd] <= tolerance).mean())
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def square(h, w, y0, y1, x0, x1, object_id=1):
@@ -206,6 +224,23 @@ class TestContourAccuracy:
             for tol in (1, 2):
                 assert contour_accuracy_F(pred, truth, 1, tol) == pytest.approx(
                     oracle_f(pred, truth, 1, tol), abs=1e-12), (seed, tol)
+
+    def test_matches_distance_transform(self):
+        """The disk dilation, and F through it, equal scipy's distance
+        transform thresholded at the tolerance, bit for bit, at integer
+        and non-integer tolerances."""
+        g = np.random.default_rng(0)
+        tolerances = (0, 0.5, 1, math.sqrt(2), 1.5, 2, 2.5, math.sqrt(8), 3, 4.2, 7)
+        for _ in range(30):
+            shape = tuple(int(v) for v in g.integers(1, 24, size=2))
+            pred = (g.random(shape) < g.uniform(0.05, 0.9)).astype(np.int64)
+            truth = (g.random(shape) < g.uniform(0.05, 0.9)).astype(np.int64)
+            bnd = boundary_pixels(truth == 1)
+            for tol in tolerances:
+                if bnd.any():
+                    assert np.array_equal(dilate(bnd, tol),
+                                          distance_transform_edt(~bnd) <= tol), (shape, tol)
+                assert contour_accuracy_F(pred, truth, 1, tol) == edt_f(pred, truth, 1, tol)
 
     def test_symmetric(self):
         pred, truth = random_blobs(3), random_blobs(4)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from vidcorr.numerics import (
     Tensor,
@@ -34,6 +35,7 @@ from vidcorr.numerics import (
     tensor_sum,
     transpose,
 )
+from vidcorr.numerics.tensor import erf
 from vidcorr.numerics.recordio import (
     load_tensor,
     named_list_bytes,
@@ -312,6 +314,32 @@ class TestCoreKernels:
         out = gelu(t64(x)).data
         ref = 0.5 * x * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         assert np.allclose(out, ref, atol=1e-12)
+
+    def test_erf_matches_scipy(self):
+        """float32 bitwise against scipy.special.erf (what gelu trains
+        with), float64 within one ulp, across both Cephes branches, the
+        |x| = 1 and 8 seams, signed zeros, subnormals and non-finite
+        values."""
+        g = np.random.default_rng(0)
+        edges = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0,
+                          np.nextafter(8.0, 0.0), 27.0, 1e300, -1e300, 5e-324,
+                          np.inf, -np.inf, np.nan])
+        x = np.concatenate([edges, g.normal(size=200_000) * 3.0,
+                            np.linspace(-6.0, 6.0, 100_001)])
+        for dtype in (np.float32, np.float64):
+            with np.errstate(over="ignore"):
+                v = x.astype(dtype)
+            got, want = erf(v), special.erf(v)
+            assert got.dtype == dtype
+            if dtype == np.float32:
+                assert np.array_equal(got.view(np.int32), want.view(np.int32))
+            else:
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                ok = ~np.isnan(want)
+                assert np.abs(got[ok].view(np.int64) - want[ok].view(np.int64)).max() <= 1
+        assert erf(np.float32(0.5)).dtype == np.float32
+        strided = x[:1000].reshape(-1, 4)[:, ::2]
+        assert np.array_equal(erf(strided), erf(strided.copy()), equal_nan=True)
 
     def test_reshape_transpose_concat_narrow(self):
         x = t64(np.arange(24, dtype=np.float64).reshape(2, 3, 4))

@@ -321,7 +321,9 @@ class TestPnmStore:
         mask = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.int32)
         path = tmp_path / "m.pgm"
         write_pgm(path, mask)
-        assert np.array_equal(read_pgm(path), mask)
+        back = read_pgm(path)
+        assert np.array_equal(back, mask)
+        assert back.dtype == np.uint8 and back.flags.writeable
 
     def test_header_comments_tolerated(self, tmp_path):
         path = tmp_path / "c.pgm"
