@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vidcorr.numerics import (
+    DEFAULT_DTYPE,
     Tensor,
     add,
     as_tensor,
@@ -23,7 +24,6 @@ from vidcorr.numerics import (
     concat,
     gather_rows,
     gelu,
-    get_default_dtype,
     l2_normalize_rows,
     layer_norm,
     matmul,
@@ -161,10 +161,9 @@ class EncoderParams:
                     f"parameter {name} has shape {self._tensors[name].shape}, want {shape}")
 
     @classmethod
-    def init(cls, config, rng, requires_grad=True, dtype=None):
+    def init(cls, config, rng, requires_grad=True, dtype=DEFAULT_DTYPE):
         """Draw fresh parameters; each tensor uses its own rng substream
         so values do not depend on creation order."""
-        dtype = dtype or get_default_dtype()
         tensors = {}
         for name, shape in _param_specs(config):
             value = _init_value(name, shape, rng).astype(dtype)
@@ -183,14 +182,6 @@ class EncoderParams:
             name: Tensor(t.data.copy(), requires_grad=requires_grad, name=name)
             for name, t in self._tensors.items()
         })
-
-    def to_named_list(self):
-        return [(name, t.data) for name, t in self.named_parameters()]
-
-    @classmethod
-    def from_named_list(cls, config, items, requires_grad=False):
-        return cls(config, {name: Tensor(np.array(arr), requires_grad=requires_grad, name=name)
-                            for name, arr in items})
 
 
 @dataclass
@@ -367,18 +358,6 @@ def forward_batch(seq, params, config, rows=None):
     cls_logits = reshape(narrow(logits, 1, 0, 1), (seq.batch, config.proj_dim))
     patch_logits = narrow(logits, 1, 1, p)
     return cls_logits, patch_logits, features
-
-
-def forward(seq, params, config):
-    """Single-crop view of :func:`forward_batch`: (k,) class logits and
-    (P, k) patch logits."""
-    if seq.batch != 1:
-        raise ValueError(f"forward expects a single crop, got batch {seq.batch}")
-    cls_logits, patch_logits, features = forward_batch(seq, params, config)
-    k = config.proj_dim
-    return (reshape(cls_logits, (k,)),
-            reshape(patch_logits, (seq.num_patches, k)),
-            features)
 
 
 def extract_inference_features(image, params, config):

@@ -349,6 +349,27 @@ def _stack_images(records):
     return np.stack([rec.image for rec in records])
 
 
+def clip_affinity_loss(t_rows, s_rows, counts, temps):
+    """Affinity-consistency loss of one clip from its masked rows.
+
+    t_rows: teacher logits (numpy, no graph) and s_rows: student logits
+    (Tensor), both (sum(counts), k), frame by frame with counts[j] rows
+    for frame j. Each frame's rows are l2-normalized, and the L - 1
+    consecutive-frame affinities of teacher and student go to
+    :func:`loss_in_aff`."""
+    q_t, q_s = [], []
+    offset = 0
+    for count in counts:
+        q_t.append(l2_normalize_rows(Tensor(t_rows[offset:offset + count])))
+        q_s.append(l2_normalize_rows(narrow(s_rows, 0, offset, count)))
+        offset += count
+    t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher, j, j + 1)
+             for j in range(len(counts) - 1)]
+    s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student, j, j + 1)
+             for j in range(len(counts) - 1)]
+    return loss_in_aff(t_aff, s_aff)
+
+
 def step_losses(crop_sets, clip_masks, student, teacher, run):
     """The four loss terms of one training step, each averaged over the
     batch of clips.
@@ -420,16 +441,10 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
                                      teacher, temps, "patch")
         mim_terms.append(masked_ce_rows(tdp_i, narrow(sd_rows, 0, offset, n_rows),
                                         clip_len))
-        q_t, q_s = [], []
-        for count in counts:
-            q_t.append(l2_normalize_rows(Tensor(t_rows[offset:offset + count])))
-            q_s.append(l2_normalize_rows(narrow(s_rows, 0, offset, count)))
-            offset += count
-        t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher, j, j + 1)
-                 for j in range(clip_len - 1)]
-        s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student, j, j + 1)
-                 for j in range(clip_len - 1)]
-        aff_terms.append(loss_in_aff(t_aff, s_aff))
+        aff_terms.append(clip_affinity_loss(t_rows[offset:offset + n_rows],
+                                            narrow(s_rows, 0, offset, n_rows),
+                                            counts, temps))
+        offset += n_rows
 
     def batch_mean(terms):
         if not terms:

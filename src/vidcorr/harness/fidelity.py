@@ -9,18 +9,10 @@ central-difference sweep under a second per loss.
 
 import numpy as np
 
-from vidcorr.numerics import (
-    Tensor,
-    gather_rows,
-    grad_check,
-    l2_normalize_rows,
-    narrow,
-    reshape,
-)
+from vidcorr.harness import clip_affinity_loss
+from vidcorr.numerics import Tensor, gather_rows, grad_check, narrow, reshape
 from vidcorr.objectives import (
     TemperatureConfig,
-    build_affinity,
-    loss_in_aff,
     loss_in_mim,
     loss_out_g2g,
     loss_out_l2g,
@@ -46,24 +38,9 @@ def _mask_patterns():
             MaskPattern(np.array([0, 1, 1, 0], dtype=bool), 0.5, 2)]
 
 
-def _masked_q(patch_logits, masks, in_graph):
-    blocks = []
-    flat = reshape(patch_logits, (CLIP_LEN * TOKENS, WIDTH)) if in_graph else None
-    for i, pattern in enumerate(masks):
-        rows = i * TOKENS + np.nonzero(pattern.m)[0]
-        if in_graph:
-            blocks.append(l2_normalize_rows(gather_rows(flat, rows)))
-        else:
-            picked = patch_logits.reshape(CLIP_LEN * TOKENS, WIDTH)[rows]
-            norm = np.sqrt((picked * picked).sum(axis=-1, keepdims=True))
-            blocks.append(picked / norm)
-    return blocks
-
-
-def loss_fidelity_report(seed=0, h=1e-3, tolerance=1e-4):
+def loss_fidelity_report(seed=0, h=1e-3):
     """[(loss name, max relative error)] for the four losses and the
     equal-weight total, each checked against central differences."""
-    del tolerance  # callers compare; kept for a stable signature
     g = np.random.default_rng(seed)
     temps = TemperatureConfig()
     pairs = make_frame_pairs(CLIP_LEN)
@@ -72,10 +49,11 @@ def loss_fidelity_report(seed=0, h=1e-3, tolerance=1e-4):
     td_cls = Tensor(_teacher_rows(g, (CLIP_LEN, WIDTH)))
     td_patch = Tensor(_teacher_rows(g, (CLIP_LEN, TOKENS, WIDTH)))
     t_patch_raw = g.normal(size=(CLIP_LEN, TOKENS, WIDTH))
-    q_teacher = _masked_q(t_patch_raw, masks, in_graph=False)
-    t_affs = [build_affinity(Tensor(q_teacher[i]), Tensor(q_teacher[i + 1]),
-                             temps.teacher, i, i + 1)
-              for i in range(CLIP_LEN - 1)]
+    # masked rows frame by frame, as step_losses gathers them
+    crop_idx, patch_idx = np.nonzero(np.stack([pat.m for pat in masks]))
+    rows = crop_idx * TOKENS + patch_idx
+    counts = [pat.count for pat in masks]
+    t_rows = t_patch_raw.reshape(CLIP_LEN * TOKENS, WIDTH)[rows]
 
     cls_n = CLIP_LEN * WIDTH
     loc_n = CLIP_LEN * LOCALS * WIDTH
@@ -94,12 +72,8 @@ def loss_fidelity_report(seed=0, h=1e-3, tolerance=1e-4):
             reshape(z, (CLIP_LEN, TOKENS, WIDTH)), temps), masks)
 
     def aff_of(z):
-        q_student = _masked_q(reshape(z, (CLIP_LEN, TOKENS, WIDTH)), masks,
-                              in_graph=True)
-        s_affs = [build_affinity(q_student[i], q_student[i + 1],
-                                 temps.student, i, i + 1)
-                  for i in range(CLIP_LEN - 1)]
-        return loss_in_aff(t_affs, s_affs)
+        s_rows = gather_rows(reshape(z, (CLIP_LEN * TOKENS, WIDTH)), rows)
+        return clip_affinity_loss(t_rows, s_rows, counts, temps)
 
     def total_of(z):
         z_cls = narrow(z, 0, 0, cls_n)

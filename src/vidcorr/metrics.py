@@ -14,32 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
-class MaskRaster:
-    """Integer object-id grid; 0 is background."""
-
-    grid: np.ndarray
-    num_objects: int = 0
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid)
-        if self.grid.ndim != 2 or not np.issubdtype(self.grid.dtype, np.integer):
-            raise ValueError(f"mask must be a 2-d integer grid, got "
-                             f"{self.grid.shape} {self.grid.dtype}")
-        if self.num_objects == 0:
-            self.num_objects = int(self.grid.max(initial=0))
-        if self.grid.min(initial=0) < 0 or self.grid.max(initial=0) > self.num_objects:
-            raise ValueError(f"object ids must lie in 0..{self.num_objects}")
-
-
 def _binary(mask, object_id):
-    grid = mask.grid if isinstance(mask, MaskRaster) else np.asarray(mask)
-    return grid == object_id
+    return np.asarray(mask) == object_id
 
 
 def _check_shapes(pred, truth):
-    p = pred.grid if isinstance(pred, MaskRaster) else np.asarray(pred)
-    t = truth.grid if isinstance(truth, MaskRaster) else np.asarray(truth)
+    p, t = np.asarray(pred), np.asarray(truth)
     if p.shape != t.shape:
         raise ValueError(f"mask shapes differ: {p.shape} vs {t.shape}")
 

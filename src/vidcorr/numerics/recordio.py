@@ -52,17 +52,6 @@ def parse_tensor_record(buf, offset=0):
     return np.ascontiguousarray(data).astype(data.dtype.newbyteorder("="), copy=False), pos + nbytes
 
 
-def save_tensor(path, array):
-    with open(path, "wb") as fh:
-        fh.write(tensor_record_bytes(array))
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        arr, _ = parse_tensor_record(fh.read())
-    return arr
-
-
 def named_list_bytes(items):
     """Serialize an ordered (name, array) iterable: per entry a uint32
     name length, the UTF-8 name, then the tensor record."""

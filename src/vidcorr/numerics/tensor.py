@@ -6,8 +6,9 @@ can fill ``.grad`` buffers by walking the graph in reverse topological
 order. Kernels never write to their inputs' data; the only mutation a
 tensor ever sees is gradient accumulation inside :func:`backward`.
 
-Training runs in float32 by default. Gradient checking and the oracle
-tests switch to float64 via :func:`set_default_dtype` (the 1e-4
+Training runs in float32: tensors built from plain python data take
+:data:`DEFAULT_DTYPE`, while ndarrays keep their precision. Gradient
+checks and the oracle tests build float64 arrays explicitly (the 1e-4
 finite-difference tolerance is unreachable in single precision).
 """
 
@@ -17,33 +18,8 @@ from contextlib import contextmanager
 import numpy as np
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
-_default_dtype = np.float32
+DEFAULT_DTYPE = np.float32
 _grad_enabled = True
-
-
-def set_default_dtype(dtype):
-    """Set the dtype used when tensors are built from plain python data."""
-    global _default_dtype
-    dtype = np.dtype(dtype).type
-    if dtype not in _ALLOWED_DTYPES:
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
-@contextmanager
-def default_dtype(dtype):
-    """Temporarily change the default dtype (used by grad checks)."""
-    global _default_dtype
-    old = _default_dtype
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        _default_dtype = old
 
 
 @contextmanager
@@ -58,17 +34,12 @@ def no_grad():
         _grad_enabled = old
 
 
-def _coerce(data, dtype=None):
-    if dtype is None:
-        # ndarrays and numpy scalars keep their precision; reductions
-        # produce numpy scalars and must not fall back to the default
-        if isinstance(data, (np.ndarray, np.generic)) and data.dtype.type in _ALLOWED_DTYPES:
-            return np.asarray(data)
-        return np.asarray(data, dtype=_default_dtype)
-    dtype = np.dtype(dtype).type
-    if dtype not in _ALLOWED_DTYPES:
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    return np.asarray(data, dtype=dtype)
+def _coerce(data):
+    # ndarrays and numpy scalars keep their precision; reductions
+    # produce numpy scalars and must not fall back to the default
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype.type in _ALLOWED_DTYPES:
+        return np.asarray(data)
+    return np.asarray(data, dtype=DEFAULT_DTYPE)
 
 
 class Tensor:
@@ -81,8 +52,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = _coerce(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.name = name
@@ -100,18 +71,8 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -125,74 +86,9 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        """Same data, outside the graph."""
-        return Tensor(self.data, requires_grad=False)
 
-    def astype(self, dtype):
-        return Tensor(self.data.astype(np.dtype(dtype).type), requires_grad=False)
-
-    def backward(self):
-        backward(self)
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-
-def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, dtype=dtype)
-
-
-def zeros(shape, dtype=None, requires_grad=False, name=None):
-    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad, name=name)
-
-
-def ones(shape, dtype=None, requires_grad=False, name=None):
-    return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad, name=name)
-
-
-def scalar(value, dtype=None):
-    return Tensor(np.asarray(value, dtype=dtype or _default_dtype))
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # -- graph plumbing ------------------------------------------------------------
@@ -291,22 +187,6 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise _shape_err("div", a, b) from None
-    return _result(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def scale(a, c):
     a = as_tensor(a)
     c = float(c)
@@ -316,18 +196,6 @@ def scale(a, c):
 def log(a):
     a = as_tensor(a)
     return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def exp(a):
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    return _result(data, (a,), lambda g: (g * data,))
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-    return _result(data, (a,), lambda g: (g * (0.5 / data),))
 
 
 def clamp_min(a, floor):
@@ -485,16 +353,6 @@ def tensor_sum(a, axis=None, keepdims=False):
     return _result(data, (a,), vjp)
 
 
-def tensor_mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # -- linear algebra ---------------------------------------------------------------
 
 
@@ -589,20 +447,3 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 
 CROSS_ENTROPY_EPS = 1e-12  # log clamp; teacher sharpening produces near-zero probabilities
-
-
-def cross_entropy_rows(target, prediction, eps=CROSS_ENTROPY_EPS):
-    """Mean over last-axis rows of -sum(target * log(prediction)).
-
-    Predictions are clamped below by ``eps`` before the log. Both inputs
-    are expected to be row-stochastic along the last axis.
-    """
-    target, prediction = as_tensor(target), as_tensor(prediction)
-    if target.shape != prediction.shape:
-        raise ValueError(f"cross_entropy_rows: shape mismatch {target.shape} vs {prediction.shape}")
-    if (target.data < 0).any():
-        raise ValueError("cross_entropy_rows: negative entries in target")
-    if (prediction.data < 0).any():
-        raise ValueError("cross_entropy_rows: negative entries in prediction")
-    per_row = scale(tensor_sum(mul(target, log(clamp_min(prediction, eps))), axis=-1), -1.0)
-    return tensor_mean(per_row)

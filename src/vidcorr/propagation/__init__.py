@@ -93,10 +93,6 @@ class LabelMap:
             worst = float(np.abs(sums - 1.0).max())
             raise ValueError(f"label cells must sum to 1 (worst deviation {worst:.2e})")
 
-    @property
-    def num_classes(self):
-        return self.grid.shape[2]
-
 
 def init_labels(mask, grid, num_classes=None):
     """Downsample a pixel mask of object ids to a one-hot LabelMap.

@@ -217,12 +217,6 @@ def make_crops(clip, rng, config):
     return CropSet(globals_, locals_)
 
 
-def replay_crop(frame, record, size):
-    """Re-render a crop from its recorded geometry; bitwise equal to the
-    original."""
-    return _render_crop(frame, record.rect, size, record.flipped, record.jitter)
-
-
 # -- masks ---------------------------------------------------------------------
 
 
@@ -249,26 +243,6 @@ def _place_blocks(grid_side, count, rng):
     return mask.reshape(-1)
 
 
-def sample_mask(num_tokens, rng, gate_probability=0.5, r_range=(0.1, 0.5)):
-    """Blockwise mask over a square token grid, or None.
-
-    With probability 1 - gate_probability no mask is drawn and the
-    masked-token losses are skipped for the iteration. Otherwise the
-    ratio r is uniform in r_range and exactly K = round(num_tokens * r)
-    cells are set."""
-    side = math.isqrt(num_tokens)
-    if side * side != num_tokens:
-        raise ValueError(f"token count {num_tokens} is not a square grid")
-    if rng.substream("gate").uniform() >= gate_probability:
-        return None
-    ratio = float(rng.substream("ratio").uniform(r_range[0], r_range[1]))
-    count = int(round(num_tokens * ratio))
-    if count == 0:
-        return MaskPattern(np.zeros(num_tokens, dtype=bool), ratio, 0)
-    m = _place_blocks(side, count, rng.substream("blocks"))
-    return MaskPattern(m, ratio, count)
-
-
 def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
                       r_range=(0.1, 0.5)):
     """Per-frame mask patterns sharing one gate and one ratio draw.
@@ -276,7 +250,8 @@ def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
     The gate applies to the whole iteration (all frames or none) and the
     shared r keeps K equal across frames, as the cross-frame affinity
     consistency requires equal token counts. Patterns themselves are
-    drawn independently per frame. Returns None when the gate is off."""
+    drawn independently per frame. Returns None when the gate is off or
+    K = round(num_tokens * r) is 0."""
     side = math.isqrt(num_tokens)
     if side * side != num_tokens:
         raise ValueError(f"token count {num_tokens} is not a square grid")
@@ -289,6 +264,14 @@ def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
     return [MaskPattern(_place_blocks(side, count, rng.substream(f"pattern{i}")),
                         ratio, count)
             for i in range(clip_len)]
+
+
+def sample_mask(num_tokens, rng, gate_probability=0.5, r_range=(0.1, 0.5)):
+    """One frame's mask: the single-frame case of :func:`sample_clip_masks`,
+    so it makes the same gate, ratio and pattern draws. None when the gate
+    is off or K = round(num_tokens * r) is 0."""
+    masks = sample_clip_masks(num_tokens, 1, rng, gate_probability, r_range)
+    return None if masks is None else masks[0]
 
 
 # -- pnm i/o and the video store -------------------------------------------------

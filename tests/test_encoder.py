@@ -12,14 +12,24 @@ from vidcorr.encoder import (
     TokenSequence,
     apply_mask_tokens,
     extract_inference_features,
-    forward,
     forward_batch,
     patch_pos_embed,
     patchify,
     patchify_batch,
     token_rows,
 )
-from vidcorr.numerics import Rng, Tensor, backward, grad_check, mul, tensor_sum
+from vidcorr.harness import Checkpoint
+from vidcorr.numerics import (
+    Rng,
+    Tensor,
+    add,
+    backward,
+    grad_check,
+    mul,
+    named_list_bytes,
+    parse_named_list,
+    tensor_sum,
+)
 
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=1, mlp_ratio=2,
              proj_layers=1, proj_dim=8, proj_hidden=16, pe_base_resolution=2,
@@ -83,19 +93,24 @@ class TestParams:
             assert np.array_equal(ta.data, tb.data)
 
     def test_named_list_round_trip(self):
+        """Parameters survive the checkpoint's record encoding and
+        load back by name into a freshly drawn copy."""
         config, params, _ = micro_setup()
-        items = params.to_named_list()
-        back = EncoderParams.from_named_list(config, items)
+        items, _ = parse_named_list(named_list_bytes(
+            (n, t.data) for n, t in params.named_parameters()))
+        back = EncoderParams.init(config, Rng(1), dtype=np.float64)
+        Checkpoint(1, 0, "", items).load_into(back.named_parameters())
         names = [n for n, _ in back.named_parameters()]
         assert names == [n for n, _ in params.named_parameters()]
-        assert all(np.array_equal(a, b.data) for (_, a), (_, b)
-                   in zip(items, back.named_parameters()))
+        assert all(np.array_equal(a.data, b.data) for (_, a), (_, b)
+                   in zip(params.named_parameters(), back.named_parameters()))
 
     def test_missing_parameter_rejected(self):
         config, params, _ = micro_setup()
-        items = params.to_named_list()[:-1]
+        tensors = dict(params.named_parameters())
+        del tensors["head/out_bias"]
         with pytest.raises(ValueError, match="head/out_bias"):
-            EncoderParams.from_named_list(config, items)
+            EncoderParams(config, tensors)
 
 
 class TestPatchify:
@@ -184,12 +199,12 @@ class TestMasking:
         config, params, image = micro_setup(depth=0, inference_layer=0)
         seq = patchify(image, params, config)
         mask = np.array([0, 1, 0, 1])
-        _, plain, _ = forward(seq, params, config)
-        _, masked, _ = forward(apply_mask_tokens(seq, mask, params), params, config)
+        _, plain, _ = forward_batch(seq, params, config)
+        _, masked, _ = forward_batch(apply_mask_tokens(seq, mask, params), params, config)
         for j in (0, 2):
-            assert np.array_equal(plain.data[j], masked.data[j])
+            assert np.array_equal(plain.data[0, j], masked.data[0, j])
         for j in (1, 3):
-            assert not np.array_equal(plain.data[j], masked.data[j])
+            assert not np.array_equal(plain.data[0, j], masked.data[0, j])
 
 
 def oracle_forward(image, params, config):
@@ -242,22 +257,24 @@ class TestForward:
     def test_micro_forward_matches_oracle(self):
         """P=4, D=8, depth=1, k=8, single head."""
         config, params, image = micro_setup()
-        cls_logits, patch_logits, _ = forward(patchify(image, params, config), params, config)
+        cls_logits, patch_logits, _ = forward_batch(patchify(image, params, config),
+                                                    params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
-        assert np.allclose(cls_logits.data, ref_cls, atol=1e-5)
-        assert np.allclose(patch_logits.data, ref_patch, atol=1e-5)
+        assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
+        assert np.allclose(patch_logits.data[0], ref_patch, atol=1e-5)
 
     def test_two_block_oracle(self):
         config, params, image = micro_setup(depth=2, inference_layer=2, seed=8)
-        cls_logits, patch_logits, _ = forward(patchify(image, params, config), params, config)
+        cls_logits, patch_logits, _ = forward_batch(patchify(image, params, config),
+                                                    params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
-        assert np.allclose(cls_logits.data, ref_cls, atol=1e-5)
-        assert np.allclose(patch_logits.data, ref_patch, atol=1e-5)
+        assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
+        assert np.allclose(patch_logits.data[0], ref_patch, atol=1e-5)
 
     def test_depth0_head_on_embeddings(self):
         config, params, image = micro_setup(depth=0, inference_layer=0)
         seq = patchify(image, params, config)
-        cls_logits, patch_logits, feats = forward(seq, params, config)
+        cls_logits, patch_logits, feats = forward_batch(seq, params, config)
         # head applied directly to the embedded tokens, no blocks, no norm
 
         def head(x):
@@ -266,8 +283,8 @@ class TestForward:
             h = 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
             return h @ params["head/out_weight"].data + params["head/out_bias"].data
 
-        assert np.allclose(cls_logits.data, head(seq.tokens.data[0, 0]), atol=1e-10)
-        assert np.allclose(patch_logits.data, head(seq.tokens.data[0, 1:]), atol=1e-10)
+        assert np.allclose(cls_logits.data[0], head(seq.tokens.data[0, 0]), atol=1e-10)
+        assert np.allclose(patch_logits.data[0], head(seq.tokens.data[0, 1:]), atol=1e-10)
         assert len(feats) == 1
 
     def test_permutation_equivariance(self):
@@ -277,19 +294,19 @@ class TestForward:
         seq = patchify(image, params, config)
         perm = [0, 4, 2, 3, 1]  # token rows, cls fixed; patches 0 and 3 swapped
         permuted = TokenSequence(Tensor(seq.tokens.data[:, perm, :].copy()), seq.grid)
-        cls_a, patch_a, _ = forward(seq, params, config)
-        cls_b, patch_b, _ = forward(permuted, params, config)
+        cls_a, patch_a, _ = forward_batch(seq, params, config)
+        cls_b, patch_b, _ = forward_batch(permuted, params, config)
         assert np.allclose(cls_a.data, cls_b.data, atol=1e-10)
-        assert np.allclose(patch_a.data[[3, 1, 2, 0]], patch_b.data, atol=1e-10)
+        assert np.allclose(patch_a.data[:, [3, 1, 2, 0]], patch_b.data, atol=1e-10)
 
     def test_batched_forward_matches_per_crop(self):
         config, params, _ = micro_setup(seed=9)
         images = [Rng(i).uniform(size=(4, 4, 3)) for i in range(3)]
         cls_b, patch_b, _ = forward_batch(patchify_batch(images, params, config), params, config)
         for i, img in enumerate(images):
-            cls_s, patch_s, _ = forward(patchify(img, params, config), params, config)
-            assert np.allclose(cls_b.data[i], cls_s.data, atol=1e-10)
-            assert np.allclose(patch_b.data[i], patch_s.data, atol=1e-10)
+            cls_s, patch_s, _ = forward_batch(patchify(img, params, config), params, config)
+            assert np.allclose(cls_b.data[i], cls_s.data[0], atol=1e-10)
+            assert np.allclose(patch_b.data[i], patch_s.data[0], atol=1e-10)
 
     def test_head_on_selected_rows_matches_all_rows(self):
         """rows runs the head on chosen tokens only; they equal the same
@@ -319,13 +336,13 @@ class TestForward:
         config, params, image = micro_setup()
         params["block0/attn/qkv_bias"].data[0] = np.inf
         with pytest.raises(ValueError, match="block0"):
-            forward(patchify(image, params, config), params, config)
+            forward_batch(patchify(image, params, config), params, config)
 
     def test_nonfinite_after_mlp_names_block(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
         params["block1/mlp/fc2_bias"].data[0] = np.nan
         with pytest.raises(ValueError, match="block 1"):
-            forward(patchify(image, params, config), params, config)
+            forward_batch(patchify(image, params, config), params, config)
 
     def test_gradients_match_finite_differences(self):
         """Full forward, micro config, 64-bit, a parameter per family."""
@@ -338,8 +355,9 @@ class TestForward:
             trial = EncoderParams(config, {**dict(params.named_parameters()), name: tensor})
             seq = patchify(image, trial, config)
             seq = apply_mask_tokens(seq, np.array([0, 1, 0, 0]), trial)
-            cls_logits, patch_logits, _ = forward(seq, trial, config)
-            return tensor_sum(mul(cls_logits, w_cls)) + tensor_sum(mul(patch_logits, w_patch))
+            cls_logits, patch_logits, _ = forward_batch(seq, trial, config)
+            return add(tensor_sum(mul(cls_logits, w_cls)),
+                       tensor_sum(mul(patch_logits, w_patch)))
 
         # The fan-in-scaled head weights add curvature, so the default step
         # leaves visible O(h^2) truncation (error drops fourfold per halving);
@@ -375,7 +393,7 @@ class TestInferenceFeatures:
     def test_last_layer_matches_forward_features(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
         feats = extract_inference_features(image, params, config)
-        _, _, by_layer = forward(patchify(image, params, config), params, config)
+        _, _, by_layer = forward_batch(patchify(image, params, config), params, config)
         raw = by_layer[2].data.reshape(4, config.embed_dim)
         ref = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
         assert np.allclose(feats.data.reshape(4, -1), ref, atol=1e-6)

@@ -7,6 +7,8 @@ so the whole file stays in the seconds range."""
 
 import hashlib
 import math
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,17 @@ from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState
 from vidcorr.propagation import PropagationConfig
 from vidcorr.views import load_store, write_index, write_video_dir
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_quick_start():
+    """The vidcorr command lines of the README's quick-start block, with
+    continuation lines joined and the program name dropped."""
+    block = (REPO / "README.md").read_text().split("## Quick start", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("vidcorr ")]
 
 
 def micro_pairs(data, out, **extra):
@@ -610,3 +623,21 @@ class TestCli:
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5 and "FAIL" not in out
+
+    def test_readme_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        """Every command of the README's quick start exits 0, run as
+        written from a directory that holds examples/ as the repository
+        root does; examples/desk.cfg is the acceptance DESK_CONFIG."""
+        from test_acceptance import DESK_CONFIG
+
+        cfg = parse_config_text((REPO / "examples" / "desk.cfg").read_text())
+        assert cfg == {key: parse_value(value) for key, value in DESK_CONFIG.items()}
+
+        shutil.copytree(REPO / "examples", tmp_path / "examples")
+        monkeypatch.chdir(tmp_path)
+        commands = readme_quick_start()
+        assert [argv[0] for argv in commands] == [
+            "gen-data", "train", "eval", "propagate", "grad-check"]
+        for argv in commands:
+            assert main(argv) == 0, shlex.join(argv)
+        assert "J&F_m" in capsys.readouterr().out

@@ -7,7 +7,6 @@ import pytest
 from scipy.ndimage import distance_transform_edt
 
 from vidcorr.metrics import (
-    MaskRaster,
     SequenceScores,
     TrackScores,
     aggregate,
@@ -92,24 +91,6 @@ def random_blobs(seed, shape=(12, 17)):
     return grid
 
 
-class TestMaskRaster:
-    def test_infers_object_count(self):
-        raster = MaskRaster(np.array([[0, 1], [2, 1]]))
-        assert raster.num_objects == 2
-
-    def test_id_above_declared_range_rejected(self):
-        with pytest.raises(ValueError, match="ids"):
-            MaskRaster(np.array([[0, 3]]), num_objects=2)
-
-    def test_negative_ids_rejected(self):
-        with pytest.raises(ValueError, match="ids"):
-            MaskRaster(np.array([[-1, 0]]))
-
-    def test_float_grid_rejected(self):
-        with pytest.raises(ValueError, match="integer"):
-            MaskRaster(np.zeros((2, 2)))
-
-
 class TestRegionSimilarity:
     def test_identical_masks(self):
         grid = square(8, 8, 2, 5, 2, 5)
@@ -156,10 +137,6 @@ class TestRegionSimilarity:
         with pytest.raises(ValueError, match="shapes"):
             region_similarity_J(np.zeros((2, 2), dtype=int),
                                 np.zeros((3, 2), dtype=int), 1)
-
-    def test_accepts_rasters(self):
-        grid = square(6, 6, 1, 3, 1, 3)
-        assert region_similarity_J(MaskRaster(grid), MaskRaster(grid), 1) == 1.0
 
 
 class TestBoundary:

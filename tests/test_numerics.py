@@ -9,13 +9,10 @@ from scipy import special
 from vidcorr.numerics import (
     Tensor,
     add,
+    backward,
     bicubic_resize_2d,
     clamp_min,
     concat,
-    cross_entropy_rows,
-    default_dtype,
-    div,
-    exp,
     gather_rows,
     gelu,
     grad_check,
@@ -30,18 +27,15 @@ from vidcorr.numerics import (
     Rng,
     scale,
     softmax_t,
-    sqrt,
-    tensor_mean,
     tensor_sum,
     transpose,
 )
-from vidcorr.numerics.tensor import erf
+from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
+from vidcorr.objectives import masked_ce_rows
 from vidcorr.numerics.recordio import (
-    load_tensor,
     named_list_bytes,
     parse_named_list,
     parse_tensor_record,
-    save_tensor,
     tensor_record_bytes,
 )
 
@@ -76,13 +70,13 @@ class TestTensorBasics:
             y = mul(x, x)
         assert not y.requires_grad
 
-    def test_dtype_context(self):
-        """The context steers construction from plain python data;
-        explicit ndarrays keep their precision."""
-        with default_dtype(np.float64):
-            assert Tensor([0.0, 1.0]).data.dtype == np.float64
-            assert Tensor(np.zeros(3, dtype=np.float32)).data.dtype == np.float32
+    def test_default_dtype(self):
+        """Plain python data builds float32 tensors; explicit ndarrays
+        keep their precision."""
+        assert DEFAULT_DTYPE is np.float32
         assert Tensor([0.0, 1.0]).data.dtype == np.float32
+        assert Tensor(np.zeros(3, dtype=np.float64)).data.dtype == np.float64
+        assert Tensor(np.zeros(3, dtype=np.float32)).data.dtype == np.float32
 
 
 class TestSoftmax:
@@ -126,18 +120,19 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
-    """Row-mean cross entropy against hand values."""
+    """Row-mean cross entropy against hand values: the training loop's
+    masked-row CE with the row count as divisor."""
 
     def test_uniform_four(self):
         """H(uniform over 4) = ln 4."""
         p = t64([[0.25, 0.25, 0.25, 0.25]])
-        out = cross_entropy_rows(p, p)
+        out = masked_ce_rows(p, p, 1)
         assert abs(out.data - 1.3862943611198906) < 1e-12
 
     def test_uniform_two_against_skewed(self):
         target = t64([[0.5, 0.5]])
         pred = t64([[0.9, 0.1]])
-        out = cross_entropy_rows(target, pred)
+        out = masked_ce_rows(target, pred, 1)
         expected = -0.5 * (math.log(0.9) + math.log(0.1))
         assert abs(out.data - expected) < 1e-12
         assert abs(out.data - 1.2039728043259361) < 1e-12
@@ -146,25 +141,21 @@ class TestCrossEntropy:
         """CE(p, q) >= CE(p, p) = H(p) for distributions q."""
         rng = np.random.default_rng(3)
         p = rng.dirichlet(np.ones(6), size=4)
-        base = cross_entropy_rows(t64(p), t64(p)).data
+        base = masked_ce_rows(t64(p), t64(p), 4).data
         for _ in range(25):
             q = rng.dirichlet(np.ones(6), size=4)
-            assert cross_entropy_rows(t64(p), t64(q)).data >= base - 1e-12
+            assert masked_ce_rows(t64(p), t64(q), 4).data >= base - 1e-12
 
     def test_mean_over_rows(self):
         target = t64([[1.0, 0.0], [0.0, 1.0]])
         pred = t64([[0.5, 0.5], [0.25, 0.75]])
-        out = cross_entropy_rows(target, pred)
+        out = masked_ce_rows(target, pred, 2)
         expected = (-math.log(0.5) - math.log(0.75)) / 2.0
         assert abs(out.data - expected) < 1e-12
 
     def test_shape_mismatch_reports_both(self):
         with pytest.raises(ValueError, match=r"\(1, 3\).*\(1, 4\)"):
-            cross_entropy_rows(t64([[0.2, 0.3, 0.5]]), t64([[0.1, 0.2, 0.3, 0.4]]))
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy_rows(t64([[1.1, -0.1]]), t64([[0.5, 0.5]]))
+            masked_ce_rows(t64([[0.2, 0.3, 0.5]]), t64([[0.1, 0.2, 0.3, 0.4]]), 1)
 
 
 class TestL2Normalize:
@@ -353,7 +344,6 @@ class TestCoreKernels:
     def test_reductions(self):
         x = t64(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert tensor_sum(x).data == 10.0
-        assert tensor_mean(x).data == 2.5
         assert np.array_equal(tensor_sum(x, axis=0).data, [4.0, 6.0])
 
 
@@ -362,29 +352,29 @@ class TestBackward:
 
     def test_sum_gives_ones(self):
         x = t64([1.0, -2.0, 3.0], requires_grad=True)
-        tensor_sum(x).backward()
+        backward(tensor_sum(x))
         assert np.array_equal(x.grad, np.ones(3))
 
     def test_sum_of_squares_gives_2x(self):
         x = t64([1.5, -0.5, 2.0], requires_grad=True)
-        tensor_sum(mul(x, x)).backward()
+        backward(tensor_sum(mul(x, x)))
         assert np.allclose(x.grad, 2 * x.data, atol=1e-12)
 
     def test_grad_accumulates_across_backward_calls(self):
         x = t64([2.0], requires_grad=True)
-        tensor_sum(x).backward()
-        tensor_sum(x).backward()
+        backward(tensor_sum(x))
+        backward(tensor_sum(x))
         assert np.array_equal(x.grad, [2.0])
 
     def test_nonscalar_root_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
-            add(x, x).backward()
+            backward(add(x, x))
 
     def test_broadcast_add_backward(self):
         x = t64(np.ones((3, 4)), requires_grad=True)
         b = t64(np.ones(4), requires_grad=True)
-        tensor_sum(add(x, b)).backward()
+        backward(tensor_sum(add(x, b)))
         assert np.array_equal(x.grad, np.ones((3, 4)))
         assert np.array_equal(b.grad, np.full(4, 3.0))
 
@@ -392,7 +382,7 @@ class TestBackward:
         # y = x*x + x*x reuses the same node twice
         x = t64([3.0], requires_grad=True)
         s = mul(x, x)
-        tensor_sum(add(s, s)).backward()
+        backward(tensor_sum(add(s, s)))
         assert np.allclose(x.grad, [12.0], atol=1e-12)
 
 
@@ -413,11 +403,7 @@ class TestGradCheck:
         x = rng.normal(size=(2, 3))
         check(lambda t: tensor_sum(mul(t, t)), t64(x, True))
         check(lambda t: tensor_sum(add(t, t64(x))), t64(x, True))
-        check(lambda t: tensor_sum(div(t, t64(np.abs(x) + 1.0))), t64(x, True))
-        check(lambda t: tensor_sum(exp(scale(t, 0.5))), t64(x, True))
         check(lambda t: tensor_sum(log(add(mul(t, t), t64(np.full((2, 3), 0.5))))),
-              t64(x, True))
-        check(lambda t: tensor_sum(sqrt(add(mul(t, t), t64(np.ones((2, 3)))))),
               t64(x, True))
         check(lambda t: tensor_sum(gelu(t)), t64(x, True))
         # keep inputs away from the clamp kink
@@ -438,7 +424,6 @@ class TestGradCheck:
         check(lambda t: tensor_sum(mul(narrow(t, 1, 2, 3), w23)), t64(x, True))
         check(lambda t: tensor_sum(mul(gather_rows(t, np.array([1, 1, 0])), w36)),
               t64(x, True))
-        check(lambda t: tensor_mean(mul(t, t)), t64(x, True))
 
     def test_matmul_chain(self):
         rng = np.random.default_rng(23)
@@ -470,9 +455,9 @@ class TestGradCheck:
         # keep predictions >= 0.1: the h^2 truncation term of the central
         # difference grows like 1/p^3 and would swamp the tolerance
         pred = rng.dirichlet(np.ones(5), size=3) * 0.5 + 0.1
-        check(lambda p: cross_entropy_rows(target, p), t64(pred, True))
+        check(lambda p: masked_ce_rows(target, p, 3), t64(pred, True))
         logits = rng.normal(size=(3, 5))
-        check(lambda z: cross_entropy_rows(target, softmax_t(z, temperature=0.5)),
+        check(lambda z: masked_ce_rows(target, softmax_t(z, temperature=0.5), 3),
               t64(logits, True))
 
     def test_bicubic_resize(self):
@@ -530,12 +515,12 @@ class TestRng:
 class TestRecordio:
     """Little-endian tensor records."""
 
-    def test_round_trip_dtypes(self, tmp_path):
+    def test_round_trip_dtypes(self):
         for dtype in (np.float32, np.float64):
             arr = np.arange(12, dtype=dtype).reshape(3, 4) / 7
-            path = tmp_path / f"t_{arr.dtype}.bin"
-            save_tensor(path, arr)
-            back = load_tensor(path)
+            buf = tensor_record_bytes(arr)
+            back, offset = parse_tensor_record(buf)
+            assert offset == len(buf)
             assert back.dtype == dtype
             assert np.array_equal(back, arr)
 

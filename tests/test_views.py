@@ -11,12 +11,12 @@ from vidcorr.views import (
     VideoClip,
     VideoSource,
     ViewConfig,
+    _render_crop,
     load_store,
     make_crops,
     make_frame_pairs,
     read_pgm,
     read_ppm,
-    replay_crop,
     sample_clip,
     sample_clip_masks,
     sample_mask,
@@ -178,12 +178,12 @@ class TestMakeCrops:
         cfg = ViewConfig(locals_per_frame=3)
         clip = sample_clip(toy_video(40, seed=6), Rng(11), cfg)
         crops = make_crops(clip, Rng(12), cfg)
-        for i in range(len(clip.frames)):
-            again = replay_crop(clip.frames[i], crops.globals_[i], cfg.global_size)
-            assert np.array_equal(again, crops.globals_[i].image)
-            for rec in crops.locals_[i]:
-                assert np.array_equal(replay_crop(clip.frames[i], rec, cfg.local_size),
-                                      rec.image)
+        for i, frame in enumerate(clip.frames):
+            records = [(crops.globals_[i], cfg.global_size)]
+            records += [(rec, cfg.local_size) for rec in crops.locals_[i]]
+            for rec, size in records:
+                again = _render_crop(frame, rec.rect, size, rec.flipped, rec.jitter)
+                assert np.array_equal(again, rec.image)
 
     def test_jitter_formula(self):
         """Recorded factors reproduce the crop through the documented
@@ -276,6 +276,20 @@ class TestSampleMask:
         a = sample_mask(64, Rng(21), gate_probability=1.0)
         b = sample_mask(64, Rng(21), gate_probability=1.0)
         assert np.array_equal(a.m, b.m) and a.ratio == b.ratio
+
+    def test_is_the_one_frame_clip_draw(self):
+        """Criterion 4 checks the draw training makes: a frame's mask is
+        the first pattern of a one-frame clip draw, bit for bit."""
+        for seed in range(200):
+            a = sample_mask(64, Rng(seed), 1.0)
+            b = sample_clip_masks(64, 1, Rng(seed), 1.0)[0]
+            assert a.m.tobytes() == b.m.tobytes()
+            assert (a.ratio, a.count) == (b.ratio, b.count)
+
+    def test_zero_count_returns_none(self):
+        """K = round(P * r) = 0 skips the masked losses, as for a clip."""
+        assert sample_mask(16, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
+        assert sample_clip_masks(16, 2, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
 
 
 class TestClipMasks:
