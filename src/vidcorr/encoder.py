@@ -10,8 +10,7 @@ Parameter names are stable documented strings (see _param_specs), so
 serialized checkpoints are diffable across versions.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +19,20 @@ from vidcorr.numerics import (
     Tensor,
     add,
     as_tensor,
+    attention,
     bicubic_resize_2d,
     concat,
     gather_rows,
     gelu,
     l2_normalize_rows,
     layer_norm,
-    matmul,
+    linear,
+    matmul,  # noqa: F401  re-exported: perfbench traces encoder.matmul
     mul,
     narrow,
     no_grad,
     reshape,
-    scale,
-    softmax_t,
-    transpose,
+    softmax_t,  # noqa: F401  re-exported: perfbench traces encoder.softmax_t
 )
 
 PARAM_INIT_STD = 0.02
@@ -230,8 +229,8 @@ def patchify_batch(images, params, config):
     d = config.embed_dim
 
     flat = _flatten_patches(images.astype(params["patch_proj/weight"].dtype), config.patch_size)
-    tokens = add(matmul(as_tensor(flat), params["patch_proj/weight"]),
-                 params["patch_proj/bias"])  # (B, P, D)
+    tokens = linear(as_tensor(flat), params["patch_proj/weight"],
+                    params["patch_proj/bias"])  # (B, P, D)
     tokens = add(tokens, patch_pos_embed(params, config, grid))
 
     cls_vec = add(params["cls_token"], params["pos_embed/cls"])
@@ -278,32 +277,18 @@ def _check_finite(x, where):
 
 
 def _attention(x, params, prefix, config):
-    b, n, d = x.shape
-    heads = config.heads
-    dh = d // heads
-    qkv = add(matmul(x, params[f"{prefix}/qkv_weight"]), params[f"{prefix}/qkv_bias"])
-
-    def split(t):
-        return transpose(reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
-
-    q = split(narrow(qkv, 2, 0, d))
-    k = split(narrow(qkv, 2, d, d))
-    v = split(narrow(qkv, 2, 2 * d, d))
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    scores.name = f"{prefix} scores"  # so the non-finite rail names the block
-    attn = softmax_t(scores, axis=-1, temperature=1.0)
-    mixed = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
-    return add(matmul(mixed, params[f"{prefix}/out_weight"]), params[f"{prefix}/out_bias"])
+    qkv = linear(x, params[f"{prefix}/qkv_weight"], params[f"{prefix}/qkv_bias"])
+    # the scores' name lets the non-finite rail name the block
+    mixed = attention(qkv, config.heads, f"{prefix} scores")
+    return linear(mixed, params[f"{prefix}/out_weight"], params[f"{prefix}/out_bias"])
 
 
 def _block(x, params, i, config):
     normed = layer_norm(x, params[f"block{i}/norm1/gamma"], params[f"block{i}/norm1/beta"])
     x = add(x, _attention(normed, params, f"block{i}/attn", config))
     normed = layer_norm(x, params[f"block{i}/norm2/gamma"], params[f"block{i}/norm2/beta"])
-    h = gelu(add(matmul(normed, params[f"block{i}/mlp/fc1_weight"]),
-                 params[f"block{i}/mlp/fc1_bias"]))
-    return add(x, add(matmul(h, params[f"block{i}/mlp/fc2_weight"]),
-                      params[f"block{i}/mlp/fc2_bias"]))
+    h = gelu(linear(normed, params[f"block{i}/mlp/fc1_weight"], params[f"block{i}/mlp/fc1_bias"]))
+    return add(x, linear(h, params[f"block{i}/mlp/fc2_weight"], params[f"block{i}/mlp/fc2_bias"]))
 
 
 def _run_blocks(seq, params, config, upto=None):
@@ -322,8 +307,8 @@ def _run_blocks(seq, params, config, upto=None):
 
 def _head(x, params, config):
     for l in range(config.proj_layers):
-        x = gelu(add(matmul(x, params[f"head/fc{l}_weight"]), params[f"head/fc{l}_bias"]))
-    return add(matmul(x, params["head/out_weight"]), params["head/out_bias"])
+        x = gelu(linear(x, params[f"head/fc{l}_weight"], params[f"head/fc{l}_bias"]))
+    return linear(x, params["head/out_weight"], params["head/out_bias"])
 
 
 def token_rows(seq, crops, positions):

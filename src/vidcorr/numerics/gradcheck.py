@@ -7,7 +7,6 @@ import numpy as np
 from .tensor import Tensor, backward
 
 DEFAULT_STEP = 1e-3
-DEFAULT_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -18,12 +17,6 @@ class GradCheckReport:
     numeric: np.ndarray
     max_rel_error: float
     max_abs_error: float
-
-    def passed(self, tolerance=DEFAULT_TOLERANCE):
-        return self.max_rel_error < tolerance
-
-    def __str__(self):
-        return f"max_rel_error={self.max_rel_error:.3e} max_abs_error={self.max_abs_error:.3e}"
 
 
 def grad_check(f, x, h=DEFAULT_STEP):

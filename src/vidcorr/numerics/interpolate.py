@@ -6,7 +6,8 @@ source indices at the borders. The bicubic kernel is Catmull-Rom
 (a = -0.5), which reproduces the input exactly on identity resizes; it
 is the one used to rescale the learnable position-embedding grid, so it
 participates in the autodiff graph. The bilinear resizer is plain numpy
-and serves the crop/augmentation pipeline, which lives outside the graph.
+and lives outside the graph; it scales the synthetic textures, and the
+crop renderer in :mod:`vidcorr.views` takes its taps the same way.
 """
 
 from functools import lru_cache
@@ -42,6 +43,19 @@ def _bicubic_matrix(n_src, n_dst):
     return w
 
 
+_einsum_paths = {}
+
+
+def _einsum(subscripts, *operands):
+    """``np.einsum(..., optimize=True)`` with the contraction path
+    searched once per (subscripts, shapes, dtype)."""
+    key = (subscripts, operands[-1].dtype) + tuple(op.shape for op in operands)
+    path = _einsum_paths.get(key)
+    if path is None:
+        path = _einsum_paths[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def bicubic_resize_2d(grid, target):
     """Resize an (H, W, D) grid to (H', W', D) channelwise.
 
@@ -60,10 +74,10 @@ def bicubic_resize_2d(grid, target):
 
     wr = _bicubic_matrix(h, ht).astype(grid.dtype.type)
     wc = _bicubic_matrix(w, wt).astype(grid.dtype.type)
-    data = np.einsum("ih,jw,hwd->ijd", wr, wc, grid.data, optimize=True)
+    data = _einsum("ih,jw,hwd->ijd", wr, wc, grid.data)
 
     def vjp(g):
-        return (np.einsum("ih,jw,ijd->hwd", wr, wc, g, optimize=True),)
+        return (_einsum("ih,jw,ijd->hwd", wr, wc, g),)
 
     return _result(data, (grid,), vjp)
 

@@ -22,31 +22,44 @@ def _fnv1a(data, state=_FNV_OFFSET):
 
 
 class Rng:
-    """Seeded generator; draws advance an internal Philox counter."""
+    """Seeded generator; draws advance an internal Philox counter.
 
-    def __init__(self, seed, _path=""):
+    The generator is built on the first draw, so a stream that only
+    spawns substreams costs no Philox construction. A substream's key
+    continues the FNV-1a state of its parent's path, which gives the
+    hash of the full path because FNV-1a consumes bytes in order."""
+
+    __slots__ = ("seed", "path", "_key", "_gen")
+
+    def __init__(self, seed, _path="", _key=None):
         self.seed = int(seed) & _MASK64
         self.path = _path
-        key = np.array([self.seed, _fnv1a(_path.encode("utf-8"))], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = _fnv1a(_path.encode("utf-8")) if _key is None else _key
+        self._gen = None
 
     def substream(self, name):
         """Fresh independent stream for ``name``, nested under this one."""
-        prefix = f"{self.path}/" if self.path else ""
-        return Rng(self.seed, _path=f"{prefix}{name}")
+        suffix = f"/{name}" if self.path else name
+        return Rng(self.seed, _path=f"{self.path}{suffix}",
+                   _key=_fnv1a(suffix.encode("utf-8"), self._key))
+
+    def _build(self):
+        key = np.array([self.seed, self._key], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        return self._gen
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        return (self._gen or self._build()).uniform(low, high, size)
 
     def integers(self, low, high, size=None):
         """Uniform integers in [low, high)."""
-        return self._gen.integers(low, high, size=size)
+        return (self._gen or self._build()).integers(low, high, size=size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
+        return (self._gen or self._build()).normal(loc, scale, size)
 
     def permutation(self, n):
-        return self._gen.permutation(n)
+        return (self._gen or self._build()).permutation(n)
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={self.path!r})"

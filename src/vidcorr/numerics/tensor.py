@@ -374,7 +374,48 @@ def matmul(a, b):
     return _result(data, (a, b), vjp)
 
 
+def linear(x, weight, bias):
+    """``x @ weight + bias`` as one graph node; the arithmetic, gradients
+    included, is that of ``add(matmul(x, weight), bias)``."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2:
+        raise ValueError(
+            f"linear needs an ndim >= 2 input and a 2-d weight, got {x.shape} and {weight.shape}")
+    try:
+        data = x.data @ weight.data + bias.data
+    except ValueError:
+        raise _shape_err("linear", x, weight) from None
+
+    def vjp(g):
+        gb = _unbroadcast(g, bias.shape)
+        gx = _unbroadcast(g @ np.swapaxes(weight.data, -1, -2), x.shape)
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
+        return (gx, gw, gb)
+
+    return _result(data, (x, weight, bias), vjp)
+
+
 # -- normalization and distribution kernels ----------------------------------------
+
+
+def _softmax(x, axis, inv_t):
+    """Forward of :func:`softmax_t` on plain arrays; ``inv_t`` is the
+    reciprocal temperature as a 0-d array of x's dtype."""
+    y = x * inv_t
+    np.subtract(y, y.max(axis=axis, keepdims=True), out=y)
+    np.exp(y, out=y)
+    np.divide(y, y.sum(axis=axis, keepdims=True), out=y)
+    return y
+
+
+def _softmax_vjp(g, y, axis, inv_t):
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return (g - inner) * y * inv_t
+
+
+def _check_softmax_input(x, label):
+    if not np.isfinite(x).all():
+        raise ValueError(f"softmax_t: non-finite values in {label}")
 
 
 def softmax_t(logits, axis=-1, temperature=1.0):
@@ -382,19 +423,55 @@ def softmax_t(logits, axis=-1, temperature=1.0):
     logits = as_tensor(logits)
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    if not np.isfinite(logits.data).all():
-        raise ValueError(f"softmax_t: non-finite values in {logits.label()}")
+    _check_softmax_input(logits.data, logits.label())
     inv_t = np.asarray(1.0 / temperature, dtype=logits.dtype)
-    z = logits.data * inv_t
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(logits.data, axis, inv_t)
+    return _result(y, (logits,), lambda g: (_softmax_vjp(g, y, axis, inv_t),))
+
+
+def attention(qkv, heads, name):
+    """Multi-head self-attention core as one graph node.
+
+    qkv: (B, N, 3D) with the query, key and value projections side by
+    side; returns the (B, N, D) head outputs, concatenated head by head.
+    Each head mixes the values with softmax(q k^T / sqrt(dh)). The
+    arithmetic is that of the primitive chain (narrow, reshape,
+    transpose, matmul, softmax_t at temperature sqrt(dh)) op for op, so
+    values and gradients match it bitwise. ``name`` labels the scores in
+    the non-finite error.
+    """
+    qkv = as_tensor(qkv)
+    b, n, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    x = qkv.data
+
+    def split(start):
+        return x[:, :, start:start + d].reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = split(0), split(d), split(2 * d)
+    k_t = np.transpose(k, (0, 1, 3, 2))
+    scores = q @ k_t
+    _check_softmax_input(scores, name)
+    inv_t = np.asarray(1.0 / math.sqrt(dh), dtype=qkv.dtype)
+    attn = _softmax(scores, -1, inv_t)
+    mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, n, d)
 
     def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - inner) * y * inv_t,)
+        g = np.transpose(g.reshape(b, n, heads, dh), (0, 2, 1, 3))
+        g_attn = g @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(attn, -1, -2) @ g
+        g_scores = _softmax_vjp(g_attn, attn, -1, inv_t)
+        g_q = g_scores @ np.swapaxes(k_t, -1, -2)
+        g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, (0, 1, 3, 2))
+        # accumulate into zeros as the graph's flow sum does, so -0.0 -> +0.0
+        full = np.zeros(x.shape, dtype=g.dtype)
+        parts = full.reshape(b, n, 3, heads, dh)
+        for i, part in enumerate((g_q, g_k, g_v)):
+            parts[:, :, i] += np.transpose(part, (0, 2, 1, 3))
+        return (full,)
 
-    return _result(y, (logits,), vjp)
+    return _result(mixed, (qkv,), vjp)
 
 
 def l2_normalize_rows(x, eps=1e-8):

@@ -9,12 +9,10 @@ one crop family cannot shift any other family's draws.
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from vidcorr.numerics import bilinear_resize
 
 log = logging.getLogger(__name__)
 
@@ -159,39 +157,79 @@ def _draw_rect(frame_shape, scale_range, rng):
     return ((height - h) // 2, (width - w) // 2, h, w)
 
 
-def _apply_jitter(image, factors):
-    b, c, s = factors
-    out = image * b
-    mean = out.mean()
-    out = mean + (out - mean) * c
-    gray = out @ _LUMA
-    out = gray[:, :, None] + (out - gray[:, :, None]) * s
-    return np.clip(out, 0.0, 1.0)
+def _draw_crop(frame_shape, rng, scale_range, augment, config):
+    """(rect, flipped, jitter) of one crop, each from its own substream."""
+    rect = _draw_rect(frame_shape, scale_range, rng.substream("geom"))
+    if not augment:
+        return rect, False, None
+    flipped = bool(rng.substream("flip").uniform() < FLIP_PROBABILITY)
+    jr = rng.substream("jitter")
+    jitter = (float(jr.uniform(1.0 - config.brightness, 1.0 + config.brightness)),
+              float(jr.uniform(1.0 - config.contrast, 1.0 + config.contrast)),
+              float(jr.uniform(1.0 - config.saturation, 1.0 + config.saturation)))
+    return rect, flipped, jitter
 
 
-def _render_crop(frame, rect, size, flipped, jitter):
-    y, x, h, w = rect
-    patch = frame[y:y + h, x:x + w, :]
-    out = bilinear_resize(patch, (size, size))
-    if flipped:
-        out = out[:, ::-1, :].copy()
-    if jitter is not None:
-        out = _apply_jitter(out, jitter)
-    return np.clip(out, 0.0, 1.0)
+def _resample_axis(origin, extent, size):
+    """Bilinear taps along one axis for a batch of crops, taken as
+    :func:`vidcorr.numerics.bilinear_resize` takes them: absolute low and
+    high source indices and the high tap's weight, each (n, size)."""
+    src = (np.arange(size) + 0.5) * (extent / size)[:, None] - 0.5
+    last = (extent - 1)[:, None]
+    lo = np.clip(np.floor(src).astype(np.intp), 0, last)
+    hi = np.minimum(lo + 1, last)
+    frac = np.clip(src - lo, 0.0, 1.0)
+    return lo + origin[:, None], hi + origin[:, None], frac
 
 
-def _make_one(frame, rng, scale_range, size, augment, config):
-    rect = _draw_rect(frame.shape, scale_range, rng.substream("geom"))
-    flipped = False
-    jitter = None
-    if augment:
-        flipped = bool(rng.substream("flip").uniform() < FLIP_PROBABILITY)
-        jr = rng.substream("jitter")
-        jitter = (float(jr.uniform(1.0 - config.brightness, 1.0 + config.brightness)),
-                  float(jr.uniform(1.0 - config.contrast, 1.0 + config.contrast)),
-                  float(jr.uniform(1.0 - config.saturation, 1.0 + config.saturation)))
-    return CropRecord(_render_crop(frame, rect, size, flipped, jitter),
-                      rect, flipped, jitter)
+def _render_crops(frames, picks, size):
+    """Render same-size crops in one pass; returns one image per pick.
+
+    picks: (frame index, (y, x, h, w), flipped, jitter) per crop. Each
+    crop is the bilinear resize of its rectangle to (size, size),
+    mirrored left-right when flipped, then color jittered when jitter
+    holds (brightness, contrast, saturation) factors: scale by b, pull
+    toward the crop mean by c, pull toward the luma gray by s. Values
+    are clipped to [0, 1]; jittered crops come out in float64 (the luma
+    weights are float64), the others in the frames' dtype.
+    """
+    stack = np.stack(frames)
+    frame = np.array([p[0] for p in picks], dtype=np.intp)[:, None, None]
+    y, x, h, w = np.array([p[1] for p in picks], dtype=np.intp).T
+    flipped = np.array([p[2] for p in picks], dtype=bool)
+    y0, y1, fy = _resample_axis(y, h, size)
+    x0, x1, fx = _resample_axis(x, w, size)
+    # a flip reverses the columns, taps and weights together
+    x0, x1, fx = (np.where(flipped[:, None], a[:, ::-1], a) for a in (x0, x1, fx))
+
+    fy = fy[:, :, None, None]
+    fx = fx[:, None, :, None]
+    rows0, rows1 = y0[:, :, None], y1[:, :, None]
+    cols0, cols1 = x0[:, None, :], x1[:, None, :]
+    top = stack[frame, rows0, cols0] * (1.0 - fx) + stack[frame, rows0, cols1] * fx
+    bot = stack[frame, rows1, cols0] * (1.0 - fx) + stack[frame, rows1, cols1] * fx
+    out = (top * (1.0 - fy) + bot * fy).astype(stack.dtype, copy=False)
+    images = list(np.clip(out, 0.0, 1.0))
+
+    jittered = [i for i, p in enumerate(picks) if p[3] is not None]
+    if jittered:
+        # as python floats would: b and c act in the frames' dtype, s on
+        # the float64 gray
+        b, c, s = np.array([picks[i][3] for i in jittered]).T[:, :, None, None, None]
+        out = out[jittered] * b.astype(stack.dtype)
+        # each crop's mean sums in the memory order a one-crop resize
+        # leaves: column-major for plain crops, row-major for mirrored
+        # ones (the mirror is a copy); float32 rounding depends on it
+        k = len(jittered)
+        flat = np.where(flipped[jittered, None], out.reshape(k, -1),
+                        out.transpose(0, 2, 1, 3).reshape(k, -1))
+        mean = flat.mean(axis=1)[:, None, None, None]
+        out = mean + (out - mean) * c.astype(stack.dtype)
+        gray = (out @ _LUMA)[..., None]
+        out = np.clip(gray + (out - gray) * s, 0.0, 1.0)
+        for i, image in zip(jittered, out):
+            images[i] = image
+    return images
 
 
 def make_crops(clip, rng, config):
@@ -200,21 +238,28 @@ def make_crops(clip, rng, config):
     Flip and color jitter touch only the families named by
     flip_jitter_target (default: locals), drawn from dedicated
     substreams so the untouched family is bitwise identical to a
-    jitter-free run."""
+    jitter-free run. All rectangles are drawn first; each family is
+    then rendered in one pass."""
     aug_globals = config.flip_jitter_target in ("globals", "both")
     aug_locals = config.flip_jitter_target in ("locals", "both")
-    globals_ = []
-    locals_ = []
+    global_picks, local_picks = [], []
     for i, frame in enumerate(clip.frames):
         frame_rng = rng.substream(f"frame{i}")
-        globals_.append(_make_one(frame, frame_rng.substream("global"),
-                                  config.global_scale, config.global_size,
-                                  aug_globals, config))
-        row = [_make_one(frame, frame_rng.substream(f"local{j}"),
-                         config.local_scale, config.local_size, aug_locals, config)
-               for j in range(config.locals_per_frame)]
-        locals_.append(row)
-    return CropSet(globals_, locals_)
+        global_picks.append((i, *_draw_crop(frame.shape, frame_rng.substream("global"),
+                                            config.global_scale, aug_globals, config)))
+        local_picks += [(i, *_draw_crop(frame.shape, frame_rng.substream(f"local{j}"),
+                                        config.local_scale, aug_locals, config))
+                        for j in range(config.locals_per_frame)]
+
+    def records(picks, size):
+        images = _render_crops(clip.frames, picks, size)
+        return [CropRecord(image, rect, flipped, jitter)
+                for image, (_, rect, flipped, jitter) in zip(images, picks)]
+
+    local_records = records(local_picks, config.local_size)
+    m = config.locals_per_frame
+    return CropSet(records(global_picks, config.global_size),
+                   [local_records[i * m:(i + 1) * m] for i in range(len(clip.frames))])
 
 
 # -- masks ---------------------------------------------------------------------

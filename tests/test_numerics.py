@@ -9,6 +9,7 @@ from scipy import special
 from vidcorr.numerics import (
     Tensor,
     add,
+    attention,
     backward,
     bicubic_resize_2d,
     clamp_min,
@@ -18,6 +19,7 @@ from vidcorr.numerics import (
     grad_check,
     layer_norm,
     l2_normalize_rows,
+    linear,
     log,
     matmul,
     mul,
@@ -30,6 +32,8 @@ from vidcorr.numerics import (
     tensor_sum,
     transpose,
 )
+from vidcorr.encoder import EncoderParams, ModelConfig, forward_batch, patchify_batch
+from vidcorr.numerics.rng import _fnv1a
 from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
 from vidcorr.objectives import masked_ce_rows
 from vidcorr.numerics.recordio import (
@@ -347,6 +351,97 @@ class TestCoreKernels:
         assert np.array_equal(tensor_sum(x, axis=0).data, [4.0, 6.0])
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def attention_chain(qkv, heads):
+    """Multi-head attention from the primitive kernels."""
+    b, n, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+
+    def split(t):
+        return transpose(reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
+
+    q = split(narrow(qkv, 2, 0, d))
+    k = split(narrow(qkv, 2, d, d))
+    v = split(narrow(qkv, 2, 2 * d, d))
+    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    attn = softmax_t(scores, axis=-1, temperature=1.0)
+    return reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
+
+
+def value_and_grads(fn, arrays, weight):
+    """Output of fn over fresh leaf tensors, and each leaf's gradient of
+    sum(output * weight)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    backward(tensor_sum(mul(out, Tensor(weight))))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestFusedKernels:
+    """linear and attention against the primitive chains they replace:
+    bitwise in float32, and finite-difference checked in float64."""
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    def test_linear_matches_matmul_add(self, lead):
+        g = np.random.default_rng(31)
+        x = g.normal(size=lead + (6,)).astype(np.float32)
+        w = g.normal(size=(6, 4)).astype(np.float32)
+        bias = g.normal(size=4).astype(np.float32)
+        weight = g.normal(size=lead + (4,)).astype(np.float32)
+        weight[..., 1] = -0.0
+        fused = value_and_grads(linear, (x, w, bias), weight)
+        chain = value_and_grads(lambda a, m, c: add(matmul(a, m), c), (x, w, bias), weight)
+        assert same_bits(fused[0], chain[0])
+        for got, want in zip(fused[1], chain[1]):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_matches_primitive_chain(self, heads):
+        g = np.random.default_rng(32 + heads)
+        qkv = (g.normal(size=(3, 5, 24)) * 2.0).astype(np.float32)
+        weight = g.normal(size=(3, 5, 8)).astype(np.float32)
+        weight[:, :, 0] = -0.0
+        weight[1] = 0.0
+        fused = value_and_grads(lambda t: attention(t, heads, "scores"), (qkv,), weight)
+        chain = value_and_grads(lambda t: attention_chain(t, heads), (qkv,), weight)
+        assert same_bits(fused[0], chain[0])
+        assert same_bits(fused[1][0], chain[1][0])
+
+    def test_linear_grad_check(self):
+        g = np.random.default_rng(33)
+        x, w, bias = g.normal(size=(2, 3, 4)), g.normal(size=(4, 5)), g.normal(size=5)
+        weight = t64(g.normal(size=(2, 3, 5)))
+        check(lambda t: tensor_sum(mul(linear(t, t64(w), t64(bias)), weight)), t64(x, True))
+        check(lambda t: tensor_sum(mul(linear(t64(x), t, t64(bias)), weight)), t64(w, True))
+        check(lambda t: tensor_sum(mul(linear(t64(x), t64(w), t), weight)), t64(bias, True))
+
+    def test_attention_grad_check(self):
+        g = np.random.default_rng(34)
+        qkv = g.normal(size=(2, 4, 12))
+        weight = t64(g.normal(size=(2, 4, 4)))
+        check(lambda t: tensor_sum(mul(attention(t, 2, "scores"), weight)), t64(qkv, True))
+
+    def test_attention_nonfinite_names_scores(self):
+        qkv = np.ones((1, 3, 12), dtype=np.float32)
+        qkv[0, 1, 5] = np.nan
+        with pytest.raises(ValueError, match="block3/attn scores"):
+            attention(Tensor(qkv), 2, "block3/attn scores")
+
+    def test_encoder_nonfinite_names_block_scores(self):
+        config = ModelConfig(patch_size=4, embed_dim=8, depth=2, heads=2, proj_layers=1,
+                             proj_dim=4, pe_base_resolution=2, inference_layer=1)
+        params = EncoderParams.init(config, Rng(0))
+        params["block1/attn/qkv_weight"].data[0, 0] = np.inf
+        images = np.full((1, 8, 8, 3), 0.5)
+        with pytest.raises(ValueError, match="block1/attn scores"):
+            forward_batch(patchify_batch(images, params, config), params, config)
+
+
 class TestBackward:
     """Reverse-mode results on hand-checkable graphs."""
 
@@ -388,7 +483,7 @@ class TestBackward:
 
 def check(f, x, atol=1e-4):
     report = grad_check(f, x)
-    assert report.passed(atol), str(report)
+    assert report.max_rel_error < atol, f"max_rel_error={report.max_rel_error:.3e}"
 
 
 class TestGradCheck:
@@ -498,6 +593,35 @@ class TestRng:
         c = Rng(7).substream("xy").uniform(size=3)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("path", [("init",), ("step3", "ñandú"),
+                                      ("γ", "clip0", "時間"), ("a", "", "ü/x", "frame1")])
+    def test_substream_draws_equal_philox_on_full_path(self, path):
+        r = Rng(42)
+        for name in path:
+            r = r.substream(name)
+        full = "/".join(path)
+        assert r.path == full
+        key = np.array([42, _fnv1a(full.encode("utf-8"))], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(r.uniform(size=5), want.uniform(size=5))
+        assert np.array_equal(r.integers(0, 100, size=5), want.integers(0, 100, size=5))
+
+    def test_spawning_builds_no_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        root = Rng(3)
+        leaf = root.substream("step0").substream("clip1").substream("crops")
+        assert built == []
+        leaf.uniform(size=2)
+        leaf.normal()
+        assert len(built) == 1
 
     def test_integers_half_open(self):
         draws = Rng(99).integers(0, 4, size=1000)

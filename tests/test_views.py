@@ -11,7 +11,7 @@ from vidcorr.views import (
     VideoClip,
     VideoSource,
     ViewConfig,
-    _render_crop,
+    _render_crops,
     load_store,
     make_crops,
     make_frame_pairs,
@@ -182,7 +182,8 @@ class TestMakeCrops:
             records = [(crops.globals_[i], cfg.global_size)]
             records += [(rec, cfg.local_size) for rec in crops.locals_[i]]
             for rec, size in records:
-                again = _render_crop(frame, rec.rect, size, rec.flipped, rec.jitter)
+                again = _render_crops([frame], [(0, rec.rect, rec.flipped, rec.jitter)],
+                                      size)[0]
                 assert np.array_equal(again, rec.image)
 
     def test_jitter_formula(self):
@@ -206,6 +207,50 @@ class TestMakeCrops:
         out = gray[:, :, None] + (out - gray[:, :, None]) * s
         out = np.clip(out, 0.0, 1.0)
         assert np.array_equal(np.clip(out, 0.0, 1.0), rec.image)
+
+
+def reference_crop(frame, rect, size, flipped, jitter):
+    """One crop by the per-crop formula: resize, mirror copy, jitter
+    with a whole-array mean, clip."""
+    y, x, h, w = rect
+    out = bilinear_resize(frame[y:y + h, x:x + w, :], (size, size))
+    if flipped:
+        out = out[:, ::-1, :].copy()
+    if jitter is not None:
+        b, c, s = jitter
+        out = out * b
+        mean = out.mean()
+        out = mean + (out - mean) * c
+        gray = out @ np.array([0.299, 0.587, 0.114])
+        out = gray[:, :, None] + (out - gray[:, :, None]) * s
+        out = np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestRenderCrops:
+    """The one-pass renderer against the per-crop formula, bitwise."""
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_matches_per_crop_formula(self, size):
+        g = np.random.default_rng(size)
+        frames = toy_video(3, h=36, w=44, seed=size)
+        picks = []
+        for _ in range(120):
+            h = int(g.integers(1, 37))
+            w = int(g.integers(1, 45))
+            rect = (int(g.integers(0, 37 - h)), int(g.integers(0, 45 - w)), h, w)
+            jitter = None
+            if g.uniform() < 0.75:
+                jitter = tuple(float(v) for v in g.uniform(0.6, 1.4, size=3))
+            picks.append((int(g.integers(0, 3)), rect, bool(g.uniform() < 0.5), jitter))
+        # both flips, both jitter states, up- and down-scaled rectangles
+        assert {(p[2], p[3] is None) for p in picks} == {(a, b) for a in (0, 1) for b in (0, 1)}
+        assert min(p[1][2] for p in picks) < size < max(p[1][2] for p in picks)
+        images = _render_crops(frames, picks, size)
+        for (i, rect, flipped, jitter), image in zip(picks, images):
+            want = reference_crop(frames[i], rect, size, flipped, jitter)
+            assert image.dtype == want.dtype
+            assert np.array_equal(image, want), (rect, flipped, jitter)
 
 
 class TestSampleMask:
