@@ -238,14 +238,6 @@ def patchify_batch(images, params, config):
     return TokenSequence(concat([cls_tok, tokens], axis=1), grid)
 
 
-def patchify(image, params, config):
-    """Single-crop convenience wrapper around :func:`patchify_batch`."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if arr.ndim != 3:
-        raise ValueError(f"expected an (H, W, 3) image, got {arr.shape}")
-    return patchify_batch(arr[None], params, config)
-
-
 def apply_mask_tokens(seq, mask, params):
     """Replace masked patch positions with mask_token + that position's
     position embedding. The class token is never masked.
@@ -346,11 +338,11 @@ def forward_batch(seq, params, config, rows=None):
 
 
 def extract_inference_features(image, params, config):
-    """Patch-token activations after block ``inference_layer``, on the
-    token grid, l2-normalized per position; (h_tok, w_tok, D). Runs
-    outside the autodiff graph."""
+    """Patch-token activations of one (H, W, 3) image after block
+    ``inference_layer``, on the token grid, l2-normalized per position;
+    (h_tok, w_tok, D). Runs outside the autodiff graph."""
     with no_grad():
-        seq = patchify(image, params, config)
+        seq = patchify_batch([image], params, config)
         _, features = _run_blocks(seq, params, config, upto=config.inference_layer)
         chosen = features[config.inference_layer]
         h, w = seq.grid

@@ -525,9 +525,13 @@ def train(run, resume=None, progress=None):
             raise ValueError(
                 f"training split must not carry masks: {source.directory}")
 
+    config_text = canonical_config_text(run)
+    if resume is not None:
+        ckpt = load_checkpoint(resume)
+        if ckpt.config_text != config_text:
+            raise CheckpointError(f"{resume}: checkpoint was written under a different config")
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    config_text = canonical_config_text(run)
     (out / "config.txt").write_text(config_text)
 
     rng = Rng(run.seed)
@@ -537,9 +541,6 @@ def train(run, resume=None, progress=None):
     opt_state = OptState.init(student)
     start_step = 0
     if resume is not None:
-        ckpt = load_checkpoint(resume)
-        if ckpt.config_text != config_text:
-            raise ValueError("checkpoint was written under a different config")
         student, teacher, opt_state = restore_state(ckpt, run)
         start_step = ckpt.step
 

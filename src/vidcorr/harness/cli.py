@@ -49,6 +49,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="run the training schedule")
     add_config_args(p)
+    p.add_argument("--resume", metavar="CKPT",
+                   help="continue from a checkpoint written under the same config")
 
     p = sub.add_parser("propagate", help="propagate first-frame labels through one video")
     p.add_argument("--checkpoint", required=True)
@@ -93,7 +95,7 @@ def _cmd_train(args):
     run = _collect_config(args)
     if not run.data:
         raise KeyError("training needs data = <dataset root> (config or --set)")
-    result = train(run)
+    result = train(run, resume=args.resume)
     last = result.log_lines[-1] if result.log_lines else "(no steps)"
     print(f"trained {result.steps} steps; final: {last}")
     for path in result.checkpoints:

@@ -2,9 +2,13 @@
 
 Every kernel computes its forward value with numpy and, when an input
 tracks gradients, records a vector-Jacobian closure so :func:`backward`
-can fill ``.grad`` buffers by walking the graph in reverse topological
-order. Kernels never write to their inputs' data; the only mutation a
-tensor ever sees is gradient accumulation inside :func:`backward`.
+can fill the ``.grad`` of the leaves (tensors built with
+``requires_grad=True`` rather than by a kernel) by walking the graph in
+reverse topological order. Interior nodes never get a ``.grad``, and
+:func:`backward` consumes the graph as it walks it: each node's closure
+and parents are dropped once its VJP has run, so a graph can be
+backpropagated only once. Kernels never write to their inputs' data;
+VJPs return ``None`` for inputs that do not track gradients.
 
 Training runs in float32: tensors built from plain python data take
 :data:`DEFAULT_DTYPE`, while ndarrays keep their precision. Gradient
@@ -45,9 +49,13 @@ def _coerce(data):
 class Tensor:
     """Shape-carrying dense array node of the autodiff graph.
 
-    ``grad`` stays ``None`` until :func:`backward` runs over a scalar
-    root that reaches this tensor; repeated backward calls accumulate
-    into it (call :meth:`zero_grad` between steps).
+    A leaf (``requires_grad=True``, not produced by a kernel) has
+    ``grad`` ``None`` until :func:`backward` runs over a scalar root
+    that reaches it; backward calls over separate graphs accumulate into
+    it (call :meth:`zero_grad` between steps). A kernel's output is an
+    interior node: its ``grad`` stays ``None``, and once a backward pass
+    has gone through it, it is cut from its parents and cannot take part
+    in another.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_vjp")
@@ -118,10 +126,21 @@ def _shape_err(op, a, b):
     return ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
-def backward(root):
-    """Fill ``.grad`` of every requires_grad tensor reachable from ``root``.
+def _consumed(g):
+    raise RuntimeError("backward: graph already backpropagated; "
+                       "run the forward again to build a new one")
 
-    ``root`` must hold a single element. Grads accumulate across calls.
+
+def backward(root):
+    """Add d(root)/d(leaf) into ``.grad`` of every requires_grad leaf
+    reachable from ``root``, consuming the graph as it goes.
+
+    ``root`` must hold a single element. Leaf grads accumulate across
+    calls on separate graphs. Interior nodes never get a ``.grad``: each
+    one's VJP closure and parents are dropped as soon as its VJP has run,
+    so forward activations are freed once their last consumer is done.
+    The graph can be backpropagated once; reaching a consumed node again
+    raises.
     """
     if not isinstance(root, Tensor):
         raise TypeError("backward expects a Tensor root")
@@ -147,19 +166,23 @@ def backward(root):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    # Pop rather than iterate, so that no list keeps a finished node alive.
     flows = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flows.pop(id(node), None)
-        if g is None:
-            continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._vjp is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            flows[key] = pg if key not in flows else flows[key] + pg
+        if g is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                flows[key] = pg if key not in flows else flows[key] + pg
+        node._parents = ()
+        node._vjp = _consumed
 
 
 # -- elementwise kernels -------------------------------------------------------
@@ -171,7 +194,12 @@ def add(a, b):
         data = a.data + b.data
     except ValueError:
         raise _shape_err("add", a, b) from None
-    return _result(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _result(data, (a, b), vjp)
 
 
 def mul(a, b):
@@ -180,11 +208,12 @@ def mul(a, b):
         data = a.data * b.data
     except ValueError:
         raise _shape_err("mul", a, b) from None
-    return _result(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _result(data, (a, b), vjp)
 
 
 def scale(a, c):
@@ -301,7 +330,8 @@ def concat(tensors, axis=0):
     bounds = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, bounds, axis=axis))
+        parts = np.split(g, bounds, axis=axis)
+        return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
 
     return _result(data, tuple(tensors), vjp)
 
@@ -367,8 +397,8 @@ def matmul(a, b):
         raise _shape_err("matmul", a, b) from None
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return (ga, gb)
 
     return _result(data, (a, b), vjp)
@@ -387,9 +417,9 @@ def linear(x, weight, bias):
         raise _shape_err("linear", x, weight) from None
 
     def vjp(g):
-        gb = _unbroadcast(g, bias.shape)
-        gx = _unbroadcast(g @ np.swapaxes(weight.data, -1, -2), x.shape)
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
+        gb = _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        gx = _unbroadcast(g @ np.swapaxes(weight.data, -1, -2), x.shape) if x.requires_grad else None
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape) if weight.requires_grad else None
         return (gx, gw, gb)
 
     return _result(data, (x, weight, bias), vjp)

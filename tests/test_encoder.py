@@ -14,7 +14,6 @@ from vidcorr.encoder import (
     extract_inference_features,
     forward_batch,
     patch_pos_embed,
-    patchify,
     patchify_batch,
     token_rows,
 )
@@ -119,9 +118,9 @@ class TestPatchify:
     def test_token_counts(self):
         config = ModelConfig(proj_dim=16, proj_hidden=16)
         params = EncoderParams.init(config, Rng(1))
-        seq = patchify(np.zeros((64, 64, 3), dtype=np.float32), params, config)
+        seq = patchify_batch(np.zeros((1, 64, 64, 3), dtype=np.float32), params, config)
         assert seq.tokens.shape == (1, 65, 64)
-        seq = patchify(np.zeros((32, 32, 3), dtype=np.float32), params, config)
+        seq = patchify_batch(np.zeros((1, 32, 32, 3), dtype=np.float32), params, config)
         assert seq.tokens.shape == (1, 17, 64)
         assert seq.grid == (4, 4)
 
@@ -134,7 +133,7 @@ class TestPatchify:
     def test_patch_rows_follow_projection(self):
         """First patch token = flattened top-left patch through the linear map."""
         config, params, image = micro_setup()
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         patch = image[:2, :2, :].reshape(-1)
         expected = patch @ params["patch_proj/weight"].data + params["patch_proj/bias"].data
         expected = expected + patch_pos_embed(params, config, (2, 2)).data[0]
@@ -142,7 +141,7 @@ class TestPatchify:
 
     def test_cls_row_is_token_plus_its_pe(self):
         config, params, image = micro_setup()
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         expected = params["cls_token"].data + params["pos_embed/cls"].data
         assert np.allclose(seq.tokens.data[0, 0], expected, atol=1e-12)
 
@@ -151,7 +150,7 @@ class TestPatchify:
         other = Rng(7).uniform(size=(4, 4, 3))
         batched = patchify_batch([image, other], params, config)
         assert batched.tokens.shape[0] == 2
-        single = patchify(other, params, config)
+        single = patchify_batch(other[None], params, config)
         assert np.allclose(batched.tokens.data[1], single.tokens.data[0], atol=1e-12)
 
 
@@ -160,13 +159,13 @@ class TestMasking:
 
     def test_zero_mask_is_identity(self):
         config, params, image = micro_setup()
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         out = apply_mask_tokens(seq, np.zeros(4, dtype=np.int64), params)
         assert np.array_equal(out.tokens.data, seq.tokens.data)
 
     def test_full_mask_saturates(self):
         config, params, image = micro_setup()
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         out = apply_mask_tokens(seq, np.ones(4, dtype=np.int64), params)
         pe = patch_pos_embed(params, config, (2, 2)).data
         expected = params["mask_token"].data + pe
@@ -180,7 +179,7 @@ class TestMasking:
                              pe_base_resolution=2, inference_layer=1)
         params = EncoderParams.init(config, Rng(3), dtype=np.float64)
         image = Rng(4).uniform(size=(8, 8, 3))  # 16 patches
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         mask = np.zeros(16, dtype=np.int64)
         mask[[1, 5, 6, 12]] = 1
         out = apply_mask_tokens(seq, mask, params)
@@ -190,14 +189,14 @@ class TestMasking:
 
     def test_length_mismatch_rejected(self):
         config, params, image = micro_setup()
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         with pytest.raises(ValueError):
             apply_mask_tokens(seq, np.zeros(5, dtype=np.int64), params)
 
     def test_depth0_unmasked_rows_bitwise_stable(self):
         """Without token mixing, masking cannot touch other rows."""
         config, params, image = micro_setup(depth=0, inference_layer=0)
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         mask = np.array([0, 1, 0, 1])
         _, plain, _ = forward_batch(seq, params, config)
         _, masked, _ = forward_batch(apply_mask_tokens(seq, mask, params), params, config)
@@ -257,7 +256,7 @@ class TestForward:
     def test_micro_forward_matches_oracle(self):
         """P=4, D=8, depth=1, k=8, single head."""
         config, params, image = micro_setup()
-        cls_logits, patch_logits, _ = forward_batch(patchify(image, params, config),
+        cls_logits, patch_logits, _ = forward_batch(patchify_batch(image[None], params, config),
                                                     params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
         assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
@@ -265,7 +264,7 @@ class TestForward:
 
     def test_two_block_oracle(self):
         config, params, image = micro_setup(depth=2, inference_layer=2, seed=8)
-        cls_logits, patch_logits, _ = forward_batch(patchify(image, params, config),
+        cls_logits, patch_logits, _ = forward_batch(patchify_batch(image[None], params, config),
                                                     params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
         assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
@@ -273,7 +272,7 @@ class TestForward:
 
     def test_depth0_head_on_embeddings(self):
         config, params, image = micro_setup(depth=0, inference_layer=0)
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         cls_logits, patch_logits, feats = forward_batch(seq, params, config)
         # head applied directly to the embedded tokens, no blocks, no norm
 
@@ -291,7 +290,7 @@ class TestForward:
         """Swapping patch tokens (with their PEs) permutes patch logits
         and leaves class logits unchanged."""
         config, params, image = micro_setup(seed=5)
-        seq = patchify(image, params, config)
+        seq = patchify_batch(image[None], params, config)
         perm = [0, 4, 2, 3, 1]  # token rows, cls fixed; patches 0 and 3 swapped
         permuted = TokenSequence(Tensor(seq.tokens.data[:, perm, :].copy()), seq.grid)
         cls_a, patch_a, _ = forward_batch(seq, params, config)
@@ -304,7 +303,7 @@ class TestForward:
         images = [Rng(i).uniform(size=(4, 4, 3)) for i in range(3)]
         cls_b, patch_b, _ = forward_batch(patchify_batch(images, params, config), params, config)
         for i, img in enumerate(images):
-            cls_s, patch_s, _ = forward_batch(patchify(img, params, config), params, config)
+            cls_s, patch_s, _ = forward_batch(patchify_batch(img[None], params, config), params, config)
             assert np.allclose(cls_b.data[i], cls_s.data[0], atol=1e-10)
             assert np.allclose(patch_b.data[i], patch_s.data[0], atol=1e-10)
 
@@ -336,13 +335,13 @@ class TestForward:
         config, params, image = micro_setup()
         params["block0/attn/qkv_bias"].data[0] = np.inf
         with pytest.raises(ValueError, match="block0"):
-            forward_batch(patchify(image, params, config), params, config)
+            forward_batch(patchify_batch(image[None], params, config), params, config)
 
     def test_nonfinite_after_mlp_names_block(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
         params["block1/mlp/fc2_bias"].data[0] = np.nan
         with pytest.raises(ValueError, match="block 1"):
-            forward_batch(patchify(image, params, config), params, config)
+            forward_batch(patchify_batch(image[None], params, config), params, config)
 
     def test_gradients_match_finite_differences(self):
         """Full forward, micro config, 64-bit, a parameter per family."""
@@ -353,7 +352,7 @@ class TestForward:
 
         def loss_with(name, tensor):
             trial = EncoderParams(config, {**dict(params.named_parameters()), name: tensor})
-            seq = patchify(image, trial, config)
+            seq = patchify_batch(image[None], trial, config)
             seq = apply_mask_tokens(seq, np.array([0, 1, 0, 0]), trial)
             cls_logits, patch_logits, _ = forward_batch(seq, trial, config)
             return add(tensor_sum(mul(cls_logits, w_cls)),
@@ -393,7 +392,7 @@ class TestInferenceFeatures:
     def test_last_layer_matches_forward_features(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
         feats = extract_inference_features(image, params, config)
-        _, _, by_layer = forward_batch(patchify(image, params, config), params, config)
+        _, _, by_layer = forward_batch(patchify_batch(image[None], params, config), params, config)
         raw = by_layer[2].data.reshape(4, config.embed_dim)
         ref = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
         assert np.allclose(feats.data.reshape(4, -1), ref, atol=1e-6)

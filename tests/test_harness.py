@@ -619,6 +619,49 @@ class TestCli:
             tmp_path, capsys,
             lambda buf, student: buf[:buf.index(b"student/mask_token") + 30]) == 2
 
+    def test_train_resume_matches_uninterrupted_run(self, dataset_root, tmp_path,
+                                                    monkeypatch, capsys):
+        """A run cut at step 2 and continued with train --resume ends with
+        the last checkpoint and train.log of an uninterrupted run."""
+        import vidcorr.harness as harness
+
+        out = tmp_path / "o"
+        args = ["train"] + cli_sets(micro_pairs(dataset_root, out))
+        assert main(args) == 0
+        final = (out / "checkpoint_001.ckpt").read_bytes()
+        log = (out / "train.log").read_bytes()
+        for p in out.iterdir():
+            p.unlink()
+
+        step_fn = harness.train_step
+
+        def cut_at_step_2(step, *rest):
+            if step == 2:
+                raise RuntimeError("interrupted")
+            return step_fn(step, *rest)
+
+        monkeypatch.setattr(harness, "train_step", cut_at_step_2)
+        assert main(args) == 2
+        assert not (out / "checkpoint_001.ckpt").exists()
+        monkeypatch.undo()
+        assert main(args + ["--resume", str(out / "checkpoint_000.ckpt")]) == 0
+        assert (out / "checkpoint_001.ckpt").read_bytes() == final
+        assert (out / "train.log").read_bytes() == log
+
+    def test_resume_under_another_config_exits_2(self, dataset_root, tmp_path,
+                                                 capsys):
+        out = tmp_path / "o"
+        pairs = micro_pairs(dataset_root, out, epochs=1, **{"opt.warmup_epochs": 0})
+        assert main(["train"] + cli_sets(pairs)) == 0
+        config = (out / "config.txt").read_bytes()
+        ckpt = out / "checkpoint_000.ckpt"
+        capsys.readouterr()
+        other = cli_sets({**pairs, "gate_probability": 0.5})
+        assert main(["train", "--resume", str(ckpt)] + other) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "different config" in err
+        assert (out / "config.txt").read_bytes() == config
+
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out

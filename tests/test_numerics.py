@@ -1,6 +1,7 @@
 """Tests for the tensor engine: kernels, autodiff, rng, serialization."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ from vidcorr.numerics import (
     transpose,
 )
 from vidcorr.encoder import EncoderParams, ModelConfig, forward_batch, patchify_batch
+from vidcorr.harness import build_run_config, step_losses
+from vidcorr.harness.synthetic import gen_synthetic_dataset
+from vidcorr.numerics.tensor import _consumed, _result
+from vidcorr.objectives import TeacherState
+from vidcorr.views import load_store, make_crops, sample_clip, sample_clip_masks
 from vidcorr.numerics.rng import _fnv1a
 from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
 from vidcorr.objectives import masked_ce_rows
@@ -479,6 +485,135 @@ class TestBackward:
         s = mul(x, x)
         backward(tensor_sum(add(s, s)))
         assert np.allclose(x.grad, [12.0], atol=1e-12)
+
+    def test_interior_nodes_are_consumed(self):
+        """Only leaves get a grad; every interior node is cut from its
+        parents, so nothing of the graph outlives the pass."""
+        g = np.random.default_rng(40)
+        x = t64(g.normal(size=(2, 3, 4)), requires_grad=True)
+        w = t64(g.normal(size=(4, 6)), requires_grad=True)
+        b = t64(g.normal(size=6), requires_grad=True)
+        h = gelu(linear(x, w, b))
+        root = tensor_sum(mul(concat([h, h], axis=1), t64(g.normal(size=(2, 6, 6)))))
+        interior = graph_nodes(root)
+        assert len(interior) == 5
+        backward(root)
+        for node in interior:
+            assert node._parents == () and node.grad is None
+            assert node._vjp is _consumed
+        assert all(t.grad is not None for t in (x, w, b))
+
+    def test_second_backward_raises(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        root = tensor_sum(mul(x, x))
+        backward(root)
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(root)
+        hidden = mul(x, x)
+        backward(tensor_sum(hidden))
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(tensor_sum(hidden))  # a new graph over a consumed node
+        assert np.array_equal(x.grad, [4.0, 8.0])
+
+    def test_activations_freed_during_backward(self):
+        """An activation dies once the VJPs that read it have run, before
+        the pass reaches the nodes below it."""
+        x = t64(np.random.default_rng(41).normal(size=(4, 5)), requires_grad=True)
+        freed = []
+
+        def low_vjp(g):
+            freed.append(probe() is None)
+            return (g * 2.0,)
+
+        high = gelu(_result(x.data * 2.0, (x,), low_vjp))
+        probe = weakref.ref(high.data)
+        root = tensor_sum(high)
+        del high
+        assert probe() is not None  # held through tensor_sum's VJP
+        backward(root)
+        assert freed == [True]
+
+    def test_desk_step_matches_frozen_backward(self, tmp_path):
+        """Every parameter gradient of one desk step_losses graph equals,
+        byte for byte, what the graph-keeping backward below gives."""
+        from test_acceptance import DESK_CONFIG
+
+        gen_synthetic_dataset(tmp_path, 0, train_videos=2, eval_videos=0,
+                              canvas=32, frames=12)
+        run = build_run_config(DESK_CONFIG)
+        view = run.view
+        gh, gw = run.model.token_grid(view.global_size, view.global_size)
+        step = Rng(3).substream("step0")
+        crop_sets, clip_masks = [], []
+        for i, source in enumerate(load_store(tmp_path / "train")):
+            crng = step.substream(f"clip{i}")
+            clip = sample_clip(source, crng.substream("frames"), view)
+            crop_sets.append(make_crops(clip, crng.substream("crops"), view))
+            clip_masks.append(sample_clip_masks(gh * gw, view.clip_len, crng.substream("mask"),
+                                                run.gate_probability, run.mask_ratio))
+        student = EncoderParams.init(run.model, Rng(3).substream("init"))
+        teacher = TeacherState.from_student(student, run.ema_momentum, run.center_momentum)
+
+        def param_grads(backward_fn):
+            total = step_losses(crop_sets, clip_masks, student, teacher, run)[0].total
+            backward_fn(total)
+            grads = {name: t.grad for name, t in student.named_parameters()}
+            for _, t in student.named_parameters():
+                t.zero_grad()
+            return grads
+
+        want = param_grads(reference_backward)
+        got = param_grads(backward)
+        assert all(grad is not None for grad in want.values())
+        for name, grad in want.items():
+            assert same_bits(got[name], grad), name
+
+
+def graph_nodes(root):
+    """Every interior node reachable from root."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+def reference_backward(root):
+    """backward as it was before it consumed the graph: every visited
+    node, interior ones included, keeps its grad, and the VJP closures
+    stay alive with the graph. Frozen here as the oracle for the leaf
+    gradients: same VJPs, same order, same flow sums."""
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+
+    flows = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        g = flows.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            flows[key] = pg if key not in flows else flows[key] + pg
 
 
 def check(f, x, atol=1e-4):
