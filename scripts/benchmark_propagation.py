@@ -35,9 +35,9 @@ def make_instance(rng, side):
         return z / np.sqrt((z * z).sum(axis=-1, keepdims=True))
 
     target = FeatureMap(unit_grid())
-    context = [(FeatureMap(unit_grid(), i),
+    context = [(FeatureMap(unit_grid()),
                 LabelMap(np.eye(CLASSES)[rng.integers(0, CLASSES, size=(side, side))]))
-               for i in range(FRAMES)]
+               for _ in range(FRAMES)]
     return target, context
 
 

@@ -283,18 +283,13 @@ def _block(x, params, i, config):
     return add(x, linear(h, params[f"block{i}/mlp/fc2_weight"], params[f"block{i}/mlp/fc2_bias"]))
 
 
-def _run_blocks(seq, params, config, upto=None):
-    """Returns final tokens and per-layer patch-token activations
-    (index 0 = embedded input, index i = after block i)."""
-    p = seq.num_patches
+def _run_blocks(seq, params, config, depth):
+    """All tokens after the first ``depth`` blocks."""
     x = seq.tokens
-    features = [narrow(x, 1, 1, p)]
-    depth = config.depth if upto is None else upto
     for i in range(depth):
         x = _block(x, params, i, config)
         _check_finite(x, f"block {i}")
-        features.append(narrow(x, 1, 1, p))
-    return x, features
+    return x
 
 
 def _head(x, params, config):
@@ -311,17 +306,17 @@ def token_rows(seq, crops, positions):
 
 
 def forward_batch(seq, params, config, rows=None):
-    """(cls_logits (B, k), patch_logits (B, P, k), features_by_layer).
+    """(cls_logits (B, k), patch_logits (B, P, k)).
 
     rows: optional flat indices into the B * (1 + P) tokens (see
     :func:`token_rows`). The backbone always sees every token; given
-    rows, the head runs on those tokens only and the result is
-    (row_logits (len(rows), k), None, features_by_layer).
+    rows, the head runs on those tokens only and the result is the
+    row logits (len(rows), k) alone.
 
     With depth 0 the head consumes the embedded tokens directly and the
     final norm is skipped.
     """
-    x, features = _run_blocks(seq, params, config)
+    x = _run_blocks(seq, params, config, config.depth)
     if config.depth > 0:
         x = layer_norm(x, params["final_norm/gamma"], params["final_norm/beta"])
     if rows is not None:
@@ -330,11 +325,9 @@ def forward_batch(seq, params, config, rows=None):
     logits = _head(x, params, config)
     _check_finite(logits, "projection head")
     if rows is not None:
-        return logits, None, features
-    p = seq.num_patches
+        return logits
     cls_logits = reshape(narrow(logits, 1, 0, 1), (seq.batch, config.proj_dim))
-    patch_logits = narrow(logits, 1, 1, p)
-    return cls_logits, patch_logits, features
+    return cls_logits, narrow(logits, 1, 1, seq.num_patches)
 
 
 def extract_inference_features(image, params, config):
@@ -343,8 +336,7 @@ def extract_inference_features(image, params, config):
     (h_tok, w_tok, D). Runs outside the autodiff graph."""
     with no_grad():
         seq = patchify_batch([image], params, config)
-        _, features = _run_blocks(seq, params, config, upto=config.inference_layer)
-        chosen = features[config.inference_layer]
+        x = _run_blocks(seq, params, config, config.inference_layer)
         h, w = seq.grid
-        flat = reshape(chosen, (h * w, config.embed_dim))
+        flat = reshape(narrow(x, 1, 1, h * w), (h * w, config.embed_dim))
         return reshape(l2_normalize_rows(flat), (h, w, config.embed_dim))

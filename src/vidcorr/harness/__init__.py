@@ -43,10 +43,9 @@ from vidcorr.objectives import (
     center_update,
     ema_update,
     loss_in_aff,
-    loss_in_mim,  # noqa: F401  re-exported: perfbench traces harness.loss_in_mim
+    loss_in_mim,
     loss_out_g2g,
     loss_out_l2g,
-    masked_ce_rows,
     student_distribution,
     teacher_distribution,
     total_loss,
@@ -60,7 +59,9 @@ from vidcorr.optimizer import (
     wd_at,
 )
 from vidcorr.propagation import PropagationConfig, labels_to_mask, propagate_video
+from vidcorr import views
 from vidcorr.views import (
+    VideoSource,
     ViewConfig,
     load_store,
     make_crops,
@@ -391,14 +392,14 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
     batch = len(crop_sets)
     global_images = _stack_images([rec for cs in crop_sets for rec in cs.globals_])
 
-    t_cls, t_patch, _ = forward_batch(
+    t_cls, t_patch = forward_batch(
         patchify_batch(global_images, teacher.params, model), teacher.params, model)
     td_cls = teacher_distribution(t_cls, teacher, temps, "cls")
 
     def class_logits(images):
         seq = patchify_batch(images, student, model)
         rows = token_rows(seq, np.arange(seq.batch), 0)
-        return forward_batch(seq, student, model, rows=rows)[0]
+        return forward_batch(seq, student, model, rows=rows)
 
     s_cls = class_logits(global_images)
     l_cls = None
@@ -417,8 +418,8 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
         masked_seq = apply_mask_tokens(
             patchify_batch(global_images[crops], student, model), masks, student)
         crop_idx, patch_idx = np.nonzero(masks)
-        s_rows, _, _ = forward_batch(masked_seq, student, model,
-                                     rows=token_rows(masked_seq, crop_idx, 1 + patch_idx))
+        s_rows = forward_batch(masked_seq, student, model,
+                               rows=token_rows(masked_seq, crop_idx, 1 + patch_idx))
         sd_rows = student_distribution(s_rows, temps)
         t_rows = t_patch.data[crops[crop_idx], patch_idx]
 
@@ -439,8 +440,8 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
         n_rows = sum(counts)
         tdp_i = teacher_distribution(Tensor(t_rows[offset:offset + n_rows]),
                                      teacher, temps, "patch")
-        mim_terms.append(masked_ce_rows(tdp_i, narrow(sd_rows, 0, offset, n_rows),
-                                        clip_len))
+        mim_terms.append(loss_in_mim(tdp_i, narrow(sd_rows, 0, offset, n_rows),
+                                     clip_len))
         aff_terms.append(clip_affinity_loss(t_rows[offset:offset + n_rows],
                                             narrow(s_rows, 0, offset, n_rows),
                                             counts, temps))
@@ -507,8 +508,6 @@ class TrainResult:
     steps: int
     log_lines: list
     checkpoints: list
-    log_path: Path
-    aborted: bool = False
 
 
 def train(run, resume=None, progress=None):
@@ -556,7 +555,6 @@ def train(run, resume=None, progress=None):
     checkpoints = []
     skip_streak = 0
     step = 0
-    aborted = False
     with open(log_path, "a" if resume else "w") as log_fh:
         for epoch in range(run.epochs):
             order = rng.substream(f"epoch{epoch}").permutation(len(sources))
@@ -579,10 +577,8 @@ def train(run, resume=None, progress=None):
                     progress(step, breakdown)
                 step += 1
                 if skip_streak >= 3:
-                    aborted = True
-                    break
-            if aborted:
-                break
+                    raise RuntimeError("aborted after 3 consecutive non-finite steps "
+                                       f"(see {log_path})")
             every = run.checkpoint_every
             due = (every > 0 and (epoch + 1) % every == 0) or epoch == run.epochs - 1
             if due and step > start_step:
@@ -590,56 +586,48 @@ def train(run, resume=None, progress=None):
                                        student, teacher, opt_state, step,
                                        config_text)
                 checkpoints.append(path)
-    if aborted:
-        raise RuntimeError("aborted after 3 consecutive non-finite steps "
-                           f"(see {log_path})")
-    return TrainResult(step, log_lines, checkpoints, log_path)
+    return TrainResult(step, log_lines, checkpoints)
 
 
 # -- evaluation ------------------------------------------------------------------
 
 
-def evaluate(params, model_config, prop_config, eval_root, tolerance=None):
+def predict_masks(source, params, model_config, prop_config):
+    """Object-id masks for every frame of a VideoSource, propagated from
+    its first-frame mask over the encoder's inference features."""
+    if not source.has_masks:
+        raise ValueError(f"{source.directory} carries no first-frame mask")
+    features = [extract_inference_features(source[i], params, model_config).data
+                for i in range(len(source))]
+    label_maps = propagate_video(features, source.mask(0), prop_config)
+    return [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
+
+
+def evaluate(params, model_config, prop_config, eval_root):
     """Label propagation over every eval video, scored against the
     stored masks. Returns (SequenceScores, report text)."""
-    sources = load_store(Path(eval_root))
     tracks = []
-    for source in sources:
-        if not source.has_masks:
-            raise ValueError(f"{source.directory} carries no first-frame mask")
+    for source in load_store(Path(eval_root)):
         if len(source.mask_paths) != len(source):
             raise ValueError(f"{source.directory}: need one mask per frame to score")
-        frames = [source[i] for i in range(len(source))]
-        features = [extract_inference_features(f, params, model_config).data
-                    for f in frames]
-        first_mask = source.mask(0)
-        label_maps = propagate_video(features, first_mask, prop_config)
-        pred = [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
+        pred = predict_masks(source, params, model_config, prop_config)
         truth = [source.mask(i) for i in range(len(source))]
-        for obj in range(1, int(first_mask.max()) + 1):
-            tracks.append(score_track(pred, truth, obj,
-                                      sequence=source.source_id,
-                                      tolerance=tolerance))
+        for obj in range(1, int(truth[0].max()) + 1):
+            tracks.append(score_track(pred, truth, obj, sequence=source.source_id))
     scores = aggregate(tracks)
     return scores, report(scores)
 
 
 def propagate_and_save(params, model_config, prop_config, video_dir, out_dir):
     """Inference on one video directory: writes predicted mask_*.pgm."""
-    from vidcorr.views import VideoSource, write_pgm
-
-    source = VideoSource(video_dir)
-    if not source.has_masks:
-        raise ValueError(f"{video_dir} carries no first-frame mask")
-    frames = [source[i] for i in range(len(source))]
-    features = [extract_inference_features(f, params, model_config).data
-                for f in frames]
-    label_maps = propagate_video(features, source.mask(0), prop_config)
+    masks = predict_masks(VideoSource(video_dir), params, model_config, prop_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, lm in enumerate(label_maps):
+    for i, mask in enumerate(masks):
         path = out_dir / f"mask_{i:05d}.pgm"
-        write_pgm(path, labels_to_mask(lm, model_config.patch_size))
+        # looked up at call time, so that a wrapper set on the views
+        # module sees every write
+        views.write_pgm(path, mask)
         paths.append(path)
     return paths

@@ -47,12 +47,13 @@ def loss_fidelity_report(seed=0, h=1e-3):
     masks = _mask_patterns()
 
     td_cls = Tensor(_teacher_rows(g, (CLIP_LEN, WIDTH)))
-    td_patch = Tensor(_teacher_rows(g, (CLIP_LEN, TOKENS, WIDTH)))
+    td_patch = _teacher_rows(g, (CLIP_LEN, TOKENS, WIDTH))
     t_patch_raw = g.normal(size=(CLIP_LEN, TOKENS, WIDTH))
     # masked rows frame by frame, as step_losses gathers them
     crop_idx, patch_idx = np.nonzero(np.stack([pat.m for pat in masks]))
     rows = crop_idx * TOKENS + patch_idx
     counts = [pat.count for pat in masks]
+    td_rows = Tensor(td_patch.reshape(CLIP_LEN * TOKENS, WIDTH)[rows])
     t_rows = t_patch_raw.reshape(CLIP_LEN * TOKENS, WIDTH)[rows]
 
     cls_n = CLIP_LEN * WIDTH
@@ -68,8 +69,8 @@ def loss_fidelity_report(seed=0, h=1e-3):
             reshape(z, (CLIP_LEN, LOCALS, WIDTH)), temps), pairs)
 
     def mim_of(z):
-        return loss_in_mim(td_patch, student_distribution(
-            reshape(z, (CLIP_LEN, TOKENS, WIDTH)), temps), masks)
+        s_rows = gather_rows(reshape(z, (CLIP_LEN * TOKENS, WIDTH)), rows)
+        return loss_in_mim(td_rows, student_distribution(s_rows, temps), CLIP_LEN)
 
     def aff_of(z):
         s_rows = gather_rows(reshape(z, (CLIP_LEN * TOKENS, WIDTH)), rows)

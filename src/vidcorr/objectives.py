@@ -155,40 +155,13 @@ def loss_out_l2g(teacher_cls, student_locals, pairs):
     return scale(total, 1.0 / len(pairs))
 
 
-def masked_ce_rows(teacher_rows, student_rows, clip_len):
-    """Masked-token prediction core: (1/L) * row-sum cross-entropy over
-    pre-gathered masked positions. The train loop calls this directly
-    with only the masked rows materialized."""
+def loss_in_mim(teacher_rows, student_rows, clip_len):
+    """Masked patch-token distillation over one clip's masked rows.
+
+    teacher_rows: distributions from the unmasked forward, student_rows:
+    from the mask-token forward, both (K, k) with one row per masked
+    position; the row-sum cross-entropy is divided by the clip length."""
     return scale(_ce_rowsum(teacher_rows, student_rows), 1.0 / clip_len)
-
-
-def loss_in_mim(teacher_patch, student_patch, masks):
-    """Masked patch-token distillation over full (L, P, k) grids.
-
-    teacher distributions come from the unmasked forward, student from
-    the mask-token forward; only masked positions contribute. masks is
-    one MaskPattern per frame, or None when the gate is off."""
-    if masks is None:
-        return zero_loss()
-    if teacher_patch.shape != student_patch.shape:
-        raise ValueError(
-            f"teacher/student shapes differ: {teacher_patch.shape} vs {student_patch.shape}")
-    clip_len, p, k = teacher_patch.shape
-    if len(masks) != clip_len:
-        raise ValueError(f"{len(masks)} masks for {clip_len} frames")
-    frame_idx, token_idx = [], []
-    for i, pattern in enumerate(masks):
-        if pattern.m.shape != (p,):
-            raise ValueError(f"mask of {pattern.m.shape} tokens on a {p}-token grid")
-        for j in np.nonzero(pattern.m)[0]:
-            frame_idx.append(i)
-            token_idx.append(j)
-    if not frame_idx:
-        return zero_loss()
-    rows = np.array(frame_idx) * p + np.array(token_idx)
-    t_rows = gather_rows(reshape(teacher_patch, (clip_len * p, k)), rows)
-    s_rows = gather_rows(reshape(student_patch, (clip_len * p, k)), rows)
-    return masked_ce_rows(t_rows, s_rows, clip_len)
 
 
 @dataclass

@@ -64,7 +64,6 @@ class FeatureMap:
     """h*w grid of unit-norm feature vectors for one frame."""
 
     grid: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self):
         self.grid = np.ascontiguousarray(self.grid, dtype=np.float64)
@@ -268,7 +267,7 @@ def propagate_frame(target, context, config):
 def propagate_video(features, first_mask, config):
     """Carry first-frame labels through a whole video.
 
-    features: one FeatureMap (or raw (h, w, d) grid) per frame
+    features: one (h, w, d) grid of unit-norm features per frame
     first_mask: integer object-id raster for frame 0
     Returns one LabelMap per frame; frame 0 keeps its ground-truth
     one-hot labels. Context for frame t is the first frame plus up to
@@ -276,8 +275,7 @@ def propagate_video(features, first_mask, config):
     """
     if len(features) == 0:
         raise ValueError("need at least one frame")
-    maps = [f if isinstance(f, FeatureMap) else FeatureMap(np.asarray(f), i)
-            for i, f in enumerate(features)]
+    maps = [FeatureMap(f) for f in features]
     h, w, _ = maps[0].grid.shape
     first_labels = init_labels(first_mask, (h, w))
 

@@ -360,12 +360,18 @@ def _read_pnm(path, magic, channels):
         tok = match.group(1)
         pos += match.end()
         if not tok.startswith(b"#"):
+            if not tok.isdigit():
+                raise ValueError(f"{path}: header field {tok!r} is not a number")
             tokens.append(int(tok))
     width, height, maxval = tokens
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height * channels, offset=pos)
+    size = width * height * channels
+    pixels = memoryview(raw)[pos:pos + size]
+    if len(pixels) < size:
+        raise ValueError(f"{path}: truncated pixel data ({len(pixels)} of {size} bytes)")
+    data = np.frombuffer(pixels, dtype=np.uint8)
     shape = (height, width, channels) if channels > 1 else (height, width)
     return data.reshape(shape)
 

@@ -123,8 +123,10 @@ def test_criterion_2_loss_identities(capsys):
             masks.append(MaskPattern(np.arange(tokens) < count,
                                      count / tokens, count))
             masked_total += count
-        grid = Tensor(np.tile(p, (clip_len, tokens, 1)))
-        mim = float(loss_in_mim(grid, Tensor(grid.data.copy()), masks).data)
+        grid = np.tile(p, (clip_len, tokens, 1))
+        frame, token = np.nonzero(np.stack([pattern.m for pattern in masks]))
+        rows = grid[frame, token]  # the masked rows, as step_losses gathers them
+        mim = float(loss_in_mim(Tensor(rows), Tensor(rows.copy()), clip_len).data)
         worst = max(worst, abs(mim - masked_total * hp / clip_len))
 
         affs, expected = [], 0.0
@@ -233,9 +235,9 @@ def _propagation_instance(seed, frames=10, h=16, w=16, d=8, classes=4):
         return z / np.sqrt((z * z).sum(axis=-1, keepdims=True))
 
     target = FeatureMap(unit_grid())
-    context = [(FeatureMap(unit_grid(), i),
+    context = [(FeatureMap(unit_grid()),
                 LabelMap(np.eye(classes)[g.integers(0, classes, size=(h, w))]))
-               for i in range(frames)]
+               for _ in range(frames)]
     return target, context
 
 

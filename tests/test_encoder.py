@@ -198,29 +198,31 @@ class TestMasking:
         config, params, image = micro_setup(depth=0, inference_layer=0)
         seq = patchify_batch(image[None], params, config)
         mask = np.array([0, 1, 0, 1])
-        _, plain, _ = forward_batch(seq, params, config)
-        _, masked, _ = forward_batch(apply_mask_tokens(seq, mask, params), params, config)
+        _, plain = forward_batch(seq, params, config)
+        _, masked = forward_batch(apply_mask_tokens(seq, mask, params), params, config)
         for j in (0, 2):
             assert np.array_equal(plain.data[0, j], masked.data[0, j])
         for j in (1, 3):
             assert not np.array_equal(plain.data[0, j], masked.data[0, j])
 
 
-def oracle_forward(image, params, config):
-    """Independent single-head forward, plain numpy, step by step."""
+def ln(x, gamma, beta, eps=1e-5):
+    mu = x.mean(-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+
+
+def gelu_np(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def oracle_tokens(image, params, config, depth):
+    """Independent single-head run of the first ``depth`` blocks, plain
+    numpy, step by step; (1 + P, D) tokens, class token first."""
     p = params
     ps = config.patch_size
     d = config.embed_dim
     h_tok, w_tok = image.shape[0] // ps, image.shape[1] // ps
-
-    def ln(x, gamma, beta, eps=1e-5):
-        mu = x.mean(-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + eps) * gamma + beta
-
-    def gelu_np(x):
-        return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
     rows = []
     for gy in range(h_tok):
         for gx in range(w_tok):
@@ -230,7 +232,7 @@ def oracle_forward(image, params, config):
     cls = p["cls_token"].data + p["pos_embed/cls"].data
     x = np.concatenate([cls[None], tokens], axis=0)
 
-    for i in range(config.depth):
+    for i in range(depth):
         y = ln(x, p[f"block{i}/norm1/gamma"].data, p[f"block{i}/norm1/beta"].data)
         qkv = y @ p[f"block{i}/attn/qkv_weight"].data + p[f"block{i}/attn/qkv_bias"].data
         q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
@@ -242,7 +244,14 @@ def oracle_forward(image, params, config):
         y = ln(x, p[f"block{i}/norm2/gamma"].data, p[f"block{i}/norm2/beta"].data)
         hdn = gelu_np(y @ p[f"block{i}/mlp/fc1_weight"].data + p[f"block{i}/mlp/fc1_bias"].data)
         x = x + hdn @ p[f"block{i}/mlp/fc2_weight"].data + p[f"block{i}/mlp/fc2_bias"].data
+    return x
 
+
+def oracle_forward(image, params, config):
+    """Independent single-head forward: the blocks, the final norm and
+    the head; (class logits, patch logits)."""
+    p = params
+    x = oracle_tokens(image, params, config, config.depth)
     x = ln(x, p["final_norm/gamma"].data, p["final_norm/beta"].data)
     for l in range(config.proj_layers):
         x = gelu_np(x @ p[f"head/fc{l}_weight"].data + p[f"head/fc{l}_bias"].data)
@@ -256,16 +265,16 @@ class TestForward:
     def test_micro_forward_matches_oracle(self):
         """P=4, D=8, depth=1, k=8, single head."""
         config, params, image = micro_setup()
-        cls_logits, patch_logits, _ = forward_batch(patchify_batch(image[None], params, config),
-                                                    params, config)
+        cls_logits, patch_logits = forward_batch(patchify_batch(image[None], params, config),
+                                                 params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
         assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
         assert np.allclose(patch_logits.data[0], ref_patch, atol=1e-5)
 
     def test_two_block_oracle(self):
         config, params, image = micro_setup(depth=2, inference_layer=2, seed=8)
-        cls_logits, patch_logits, _ = forward_batch(patchify_batch(image[None], params, config),
-                                                    params, config)
+        cls_logits, patch_logits = forward_batch(patchify_batch(image[None], params, config),
+                                                 params, config)
         ref_cls, ref_patch = oracle_forward(image, params, config)
         assert np.allclose(cls_logits.data[0], ref_cls, atol=1e-5)
         assert np.allclose(patch_logits.data[0], ref_patch, atol=1e-5)
@@ -273,7 +282,7 @@ class TestForward:
     def test_depth0_head_on_embeddings(self):
         config, params, image = micro_setup(depth=0, inference_layer=0)
         seq = patchify_batch(image[None], params, config)
-        cls_logits, patch_logits, feats = forward_batch(seq, params, config)
+        cls_logits, patch_logits = forward_batch(seq, params, config)
         # head applied directly to the embedded tokens, no blocks, no norm
 
         def head(x):
@@ -284,7 +293,6 @@ class TestForward:
 
         assert np.allclose(cls_logits.data[0], head(seq.tokens.data[0, 0]), atol=1e-10)
         assert np.allclose(patch_logits.data[0], head(seq.tokens.data[0, 1:]), atol=1e-10)
-        assert len(feats) == 1
 
     def test_permutation_equivariance(self):
         """Swapping patch tokens (with their PEs) permutes patch logits
@@ -293,17 +301,17 @@ class TestForward:
         seq = patchify_batch(image[None], params, config)
         perm = [0, 4, 2, 3, 1]  # token rows, cls fixed; patches 0 and 3 swapped
         permuted = TokenSequence(Tensor(seq.tokens.data[:, perm, :].copy()), seq.grid)
-        cls_a, patch_a, _ = forward_batch(seq, params, config)
-        cls_b, patch_b, _ = forward_batch(permuted, params, config)
+        cls_a, patch_a = forward_batch(seq, params, config)
+        cls_b, patch_b = forward_batch(permuted, params, config)
         assert np.allclose(cls_a.data, cls_b.data, atol=1e-10)
         assert np.allclose(patch_a.data[:, [3, 1, 2, 0]], patch_b.data, atol=1e-10)
 
     def test_batched_forward_matches_per_crop(self):
         config, params, _ = micro_setup(seed=9)
         images = [Rng(i).uniform(size=(4, 4, 3)) for i in range(3)]
-        cls_b, patch_b, _ = forward_batch(patchify_batch(images, params, config), params, config)
+        cls_b, patch_b = forward_batch(patchify_batch(images, params, config), params, config)
         for i, img in enumerate(images):
-            cls_s, patch_s, _ = forward_batch(patchify_batch(img[None], params, config), params, config)
+            cls_s, patch_s = forward_batch(patchify_batch(img[None], params, config), params, config)
             assert np.allclose(cls_b.data[i], cls_s.data[0], atol=1e-10)
             assert np.allclose(patch_b.data[i], patch_s.data[0], atol=1e-10)
 
@@ -314,18 +322,18 @@ class TestForward:
         config, params, _ = micro_setup(seed=9)
         images = [Rng(i).uniform(size=(4, 4, 3)) for i in range(3)]
         seq = patchify_batch(images, params, config)
-        cls_all, patch_all, _ = forward_batch(seq, params, config)
+        cls_all, patch_all = forward_batch(seq, params, config)
         crops, positions = np.array([2, 0, 1, 2]), np.array([0, 3, 0, 4])
         rows = token_rows(seq, crops, positions)
         assert rows.tolist() == [10, 3, 5, 14]
-        picked, none, _ = forward_batch(seq, params, config, rows=rows)
-        assert none is None and picked.shape == (4, config.proj_dim)
+        picked = forward_batch(seq, params, config, rows=rows)
+        assert picked.shape == (4, config.proj_dim)
         full = np.concatenate([cls_all.data[:, None], patch_all.data], axis=1)
         np.testing.assert_allclose(picked.data, full[crops, positions], rtol=1e-12, atol=1e-14)
 
         tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
-        picked, _, _ = forward_batch(TokenSequence(tokens, seq.grid), params, config,
-                                     rows=token_rows(seq, [1], [2]))
+        picked = forward_batch(TokenSequence(tokens, seq.grid), params, config,
+                               rows=token_rows(seq, [1], [2]))
         backward(tensor_sum(picked))
         # depth 1: attention mixes every token of crop 1 into the picked row
         touched = np.abs(tokens.grad).sum(axis=-1) > 0
@@ -354,7 +362,7 @@ class TestForward:
             trial = EncoderParams(config, {**dict(params.named_parameters()), name: tensor})
             seq = patchify_batch(image[None], trial, config)
             seq = apply_mask_tokens(seq, np.array([0, 1, 0, 0]), trial)
-            cls_logits, patch_logits, _ = forward_batch(seq, trial, config)
+            cls_logits, patch_logits = forward_batch(seq, trial, config)
             return add(tensor_sum(mul(cls_logits, w_cls)),
                        tensor_sum(mul(patch_logits, w_patch)))
 
@@ -392,7 +400,6 @@ class TestInferenceFeatures:
     def test_last_layer_matches_forward_features(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
         feats = extract_inference_features(image, params, config)
-        _, _, by_layer = forward_batch(patchify_batch(image[None], params, config), params, config)
-        raw = by_layer[2].data.reshape(4, config.embed_dim)
+        raw = oracle_tokens(image, params, config, 2)[1:]
         ref = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
         assert np.allclose(feats.data.reshape(4, -1), ref, atol=1e-6)

@@ -40,11 +40,12 @@ from vidcorr.harness.synthetic import (
     random_scene_spec,
     render_scene,
 )
+from vidcorr.metrics import score_track
 from vidcorr.numerics import Rng, named_list_bytes
 from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState
 from vidcorr.propagation import PropagationConfig
-from vidcorr.views import load_store, write_index, write_video_dir
+from vidcorr.views import VideoSource, load_store, read_pgm, write_index, write_video_dir
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -527,10 +528,53 @@ class TestEvaluation:
                                    dataset_root / "val" / "video_000",
                                    tmp_path / "pred")
         assert len(paths) == 6
-        from vidcorr.views import read_pgm
         first = read_pgm(paths[0])
         assert first.shape == (16, 16)
         assert first.max() >= 1  # the seeded object survives quantization
+
+    def test_propagated_masks_score_as_evaluate_scored_them(self, dataset_root,
+                                                           tmp_path):
+        """propagate and eval share one video path: the masks written for
+        a val video give evaluate's J/F lists for that video exactly."""
+        run = build_run_config(micro_pairs(dataset_root, "unused"))
+        params = EncoderParams.init(run.model, Rng(3).substream("init"),
+                                    requires_grad=False)
+        prop = PropagationConfig(top_k=3, context_size=2, radius=4)
+        scores, _ = evaluate(params, run.model, prop, dataset_root / "val")
+        source = VideoSource(dataset_root / "val" / "video_001")
+        paths = propagate_and_save(params, run.model, prop, source.directory,
+                                   tmp_path / "pred")
+        pred = [read_pgm(path) for path in paths]
+        truth = [source.mask(i) for i in range(len(source))]
+        tracks = [t for t in scores.tracks if t.sequence == source.source_id]
+        assert tracks
+        for track in tracks:
+            again = score_track(pred, truth, track.object_id, sequence=source.source_id)
+            assert again.j_frames == track.j_frames
+            assert again.f_frames == track.f_frames
+
+    def test_masks_are_written_through_the_views_module(self, dataset_root,
+                                                        tmp_path, monkeypatch):
+        """propagate_and_save looks write_pgm up on vidcorr.views at call
+        time, so a wrapper set there sees every mask it writes."""
+        import vidcorr.views as views
+
+        written = []
+        write_pgm = views.write_pgm
+
+        def counting(path, mask):
+            written.append(path)
+            return write_pgm(path, mask)
+
+        monkeypatch.setattr(views, "write_pgm", counting)
+        run = build_run_config(micro_pairs(dataset_root, "unused"))
+        params = EncoderParams.init(run.model, Rng(3).substream("init"),
+                                    requires_grad=False)
+        paths = propagate_and_save(params, run.model, run.prop,
+                                   dataset_root / "val" / "video_000",
+                                   tmp_path / "pred")
+        assert len(paths) == 6
+        assert written == paths
 
 
 def without_record(buf, student, name):
@@ -618,6 +662,25 @@ class TestCli:
         assert self.eval_broken(
             tmp_path, capsys,
             lambda buf, student: buf[:buf.index(b"student/mask_token") + 30]) == 2
+
+    @pytest.mark.parametrize("name, damage", [
+        ("frame_00003.ppm", lambda buf: buf[:-10]),
+        ("mask_00002.pgm", lambda buf: buf.replace(b"\n16 ", b"\nxx ", 1)),
+    ], ids=["truncated-frame", "non-integer-mask-header"])
+    def test_corrupt_video_file_exits_2(self, dataset_root, tmp_path, capsys,
+                                        name, damage):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_root / "val", data / "val")
+        path = data / "val" / "video_001" / name
+        broken = damage(path.read_bytes())
+        assert broken != path.read_bytes()
+        path.write_bytes(broken)
+        run = build_run_config(micro_pairs(data, tmp_path / "o"))
+        ckpt = save_checkpoint(tmp_path / "ck.ckpt", *micro_state(run), 1,
+                               canonical_config_text(run))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "usage error" not in err
 
     def test_train_resume_matches_uninterrupted_run(self, dataset_root, tmp_path,
                                                     monkeypatch, capsys):

@@ -37,11 +37,10 @@ from vidcorr.encoder import EncoderParams, ModelConfig, forward_batch, patchify_
 from vidcorr.harness import build_run_config, step_losses
 from vidcorr.harness.synthetic import gen_synthetic_dataset
 from vidcorr.numerics.tensor import _consumed, _result
-from vidcorr.objectives import TeacherState
+from vidcorr.objectives import TeacherState, loss_in_mim
 from vidcorr.views import load_store, make_crops, sample_clip, sample_clip_masks
 from vidcorr.numerics.rng import _fnv1a
 from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
-from vidcorr.objectives import masked_ce_rows
 from vidcorr.numerics.recordio import (
     named_list_bytes,
     parse_named_list,
@@ -136,13 +135,13 @@ class TestCrossEntropy:
     def test_uniform_four(self):
         """H(uniform over 4) = ln 4."""
         p = t64([[0.25, 0.25, 0.25, 0.25]])
-        out = masked_ce_rows(p, p, 1)
+        out = loss_in_mim(p, p, 1)
         assert abs(out.data - 1.3862943611198906) < 1e-12
 
     def test_uniform_two_against_skewed(self):
         target = t64([[0.5, 0.5]])
         pred = t64([[0.9, 0.1]])
-        out = masked_ce_rows(target, pred, 1)
+        out = loss_in_mim(target, pred, 1)
         expected = -0.5 * (math.log(0.9) + math.log(0.1))
         assert abs(out.data - expected) < 1e-12
         assert abs(out.data - 1.2039728043259361) < 1e-12
@@ -151,21 +150,21 @@ class TestCrossEntropy:
         """CE(p, q) >= CE(p, p) = H(p) for distributions q."""
         rng = np.random.default_rng(3)
         p = rng.dirichlet(np.ones(6), size=4)
-        base = masked_ce_rows(t64(p), t64(p), 4).data
+        base = loss_in_mim(t64(p), t64(p), 4).data
         for _ in range(25):
             q = rng.dirichlet(np.ones(6), size=4)
-            assert masked_ce_rows(t64(p), t64(q), 4).data >= base - 1e-12
+            assert loss_in_mim(t64(p), t64(q), 4).data >= base - 1e-12
 
     def test_mean_over_rows(self):
         target = t64([[1.0, 0.0], [0.0, 1.0]])
         pred = t64([[0.5, 0.5], [0.25, 0.75]])
-        out = masked_ce_rows(target, pred, 2)
+        out = loss_in_mim(target, pred, 2)
         expected = (-math.log(0.5) - math.log(0.75)) / 2.0
         assert abs(out.data - expected) < 1e-12
 
     def test_shape_mismatch_reports_both(self):
         with pytest.raises(ValueError, match=r"\(1, 3\).*\(1, 4\)"):
-            masked_ce_rows(t64([[0.2, 0.3, 0.5]]), t64([[0.1, 0.2, 0.3, 0.4]]), 1)
+            loss_in_mim(t64([[0.2, 0.3, 0.5]]), t64([[0.1, 0.2, 0.3, 0.4]]), 1)
 
 
 class TestL2Normalize:
@@ -685,9 +684,9 @@ class TestGradCheck:
         # keep predictions >= 0.1: the h^2 truncation term of the central
         # difference grows like 1/p^3 and would swamp the tolerance
         pred = rng.dirichlet(np.ones(5), size=3) * 0.5 + 0.1
-        check(lambda p: masked_ce_rows(target, p, 3), t64(pred, True))
+        check(lambda p: loss_in_mim(target, p, 3), t64(pred, True))
         logits = rng.normal(size=(3, 5))
-        check(lambda z: masked_ce_rows(target, softmax_t(z, temperature=0.5), 3),
+        check(lambda z: loss_in_mim(target, softmax_t(z, temperature=0.5), 3),
               t64(logits, True))
 
     def test_bicubic_resize(self):

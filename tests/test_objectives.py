@@ -36,7 +36,6 @@ from vidcorr.objectives import (
     loss_in_mim,
     loss_out_g2g,
     loss_out_l2g,
-    masked_ce_rows,
     student_distribution,
     teacher_distribution,
     total_loss,
@@ -227,9 +226,11 @@ class TestClassTokenLosses:
 
 
 class TestMaskedPrediction:
-    def masks(self, bits):
-        return [MaskPattern(np.array(b, dtype=bool), 0.5, int(sum(b)))
-                for b in bits]
+    def rows(self, teacher, student, bits):
+        """The masked positions' rows of (L, P, k) grids, frame by frame,
+        as step_losses gathers them."""
+        frame, token = np.nonzero(np.array(bits, dtype=bool))
+        return Tensor(teacher[frame, token]), Tensor(student[frame, token])
 
     def test_matches_double_loop(self):
         teacher = dist_rows((2, 4, 3), 8)
@@ -237,17 +238,13 @@ class TestMaskedPrediction:
         bits = [[1, 0, 0, 1], [0, 1, 0, 0]]
         expect = sum(ce(teacher[i, j], student[i, j])
                      for i in range(2) for j in range(4) if bits[i][j]) / 2
-        value = loss_in_mim(Tensor(teacher), Tensor(student), self.masks(bits))
+        value = loss_in_mim(*self.rows(teacher, student, bits), 2)
         assert value.data == pytest.approx(expect, rel=1e-12)
-
-    def test_gate_off_gives_zero(self):
-        teacher = dist_rows((2, 4, 3), 10)
-        assert loss_in_mim(Tensor(teacher), Tensor(teacher), None).data == 0.0
 
     def test_all_clear_masks_give_zero(self):
         teacher = dist_rows((2, 4, 3), 11)
         bits = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        assert loss_in_mim(Tensor(teacher), Tensor(teacher), self.masks(bits)).data == 0.0
+        assert loss_in_mim(*self.rows(teacher, teacher, bits), 2).data == 0.0
 
     def test_saturated_equal_distributions(self):
         """All P tokens masked, teacher = student = uniform: the frame
@@ -255,31 +252,8 @@ class TestMaskedPrediction:
         p, k = 4, 3
         uniform = np.full((2, p, k), 1.0 / k)
         bits = [[1] * p, [1] * p]
-        value = loss_in_mim(Tensor(uniform), Tensor(uniform), self.masks(bits))
+        value = loss_in_mim(*self.rows(uniform, uniform, bits), 2)
         assert value.data == pytest.approx(p * math.log(k), rel=1e-12)
-
-    def test_mask_length_mismatch_rejected(self):
-        teacher = dist_rows((2, 4, 3), 12)
-        with pytest.raises(ValueError, match="grid"):
-            loss_in_mim(Tensor(teacher), Tensor(teacher),
-                        self.masks([[1, 0], [0, 1]]))
-
-    def test_mask_count_mismatch_rejected(self):
-        teacher = dist_rows((2, 4, 3), 13)
-        with pytest.raises(ValueError, match="masks"):
-            loss_in_mim(Tensor(teacher), Tensor(teacher),
-                        self.masks([[1, 0, 0, 0]]))
-
-    def test_fast_path_agrees_bitwise(self):
-        """Gathering masked rows up front is the same arithmetic."""
-        teacher = dist_rows((2, 4, 3), 14)
-        student = dist_rows((2, 4, 3), 15)
-        bits = [[1, 1, 0, 0], [0, 0, 1, 1]]
-        full = loss_in_mim(Tensor(teacher), Tensor(student), self.masks(bits))
-        rows = np.array([(i, j) for i in range(2) for j in range(4) if bits[i][j]])
-        fast = masked_ce_rows(Tensor(teacher[rows[:, 0], rows[:, 1]]),
-                              Tensor(student[rows[:, 0], rows[:, 1]]), 2)
-        assert full.data == fast.data
 
 
 class TestAffinity:
@@ -511,6 +485,14 @@ class TestCenterUpdate:
         np.testing.assert_allclose(moved.data, base.data, atol=1e-9)
 
 
+def masked_rows(patch, masks):
+    """Rows of the masked positions of (L, P, k) patch tensors, frame by
+    frame, as step_losses gathers them."""
+    clip_len, p, k = patch.shape
+    frame, token = np.nonzero(np.stack([pattern.m for pattern in masks]))
+    return gather_rows(reshape(patch, (clip_len * p, k)), frame * p + token)
+
+
 def masked_q(patch_logits, masks):
     """Unit-norm rows of the masked positions, one (K, k) block per frame."""
     clip_len, p, k = patch_logits.shape
@@ -530,16 +512,16 @@ def pipeline_loss(student, teacher, temps, config, globals_, locals_, masks, pai
     m = len(locals_) // clip_len
     k = config.proj_dim
 
-    t_cls, t_patch, _ = forward_batch(
+    t_cls, t_patch = forward_batch(
         patchify_batch(globals_, teacher.params, config), teacher.params, config)
     td_cls = teacher_distribution(t_cls, teacher, temps, "cls")
     td_patch = teacher_distribution(t_patch, teacher, temps, "patch")
 
-    s_cls, _, _ = forward_batch(
+    s_cls, _ = forward_batch(
         patchify_batch(globals_, student, config), student, config)
     sd_cls = student_distribution(s_cls, temps)
 
-    l_cls, _, _ = forward_batch(
+    l_cls, _ = forward_batch(
         patchify_batch(locals_, student, config), student, config)
     sd_locals = student_distribution(reshape(l_cls, (clip_len, m, k)), temps)
 
@@ -550,8 +532,9 @@ def pipeline_loss(student, teacher, temps, config, globals_, locals_, masks, pai
 
     seq = patchify_batch(globals_, student, config)
     masked = apply_mask_tokens(seq, np.stack([p.m for p in masks]), student)
-    _, s_patch, _ = forward_batch(masked, student, config)
-    mim = loss_in_mim(td_patch, student_distribution(s_patch, temps), masks)
+    _, s_patch = forward_batch(masked, student, config)
+    mim = loss_in_mim(masked_rows(td_patch, masks),
+                      masked_rows(student_distribution(s_patch, temps), masks), clip_len)
 
     q_teacher = masked_q(t_patch, masks)
     q_student = masked_q(s_patch, masks)

@@ -28,9 +28,9 @@ def random_onehot(rng, h, w, c):
 def make_instance(seed, h=16, w=16, d=8, c=4, frames=3):
     rng = np.random.default_rng(seed)
     target = FeatureMap(unit_grid(rng, h, w, d))
-    context = [(FeatureMap(unit_grid(rng, h, w, d), i),
+    context = [(FeatureMap(unit_grid(rng, h, w, d)),
                 LabelMap(random_onehot(rng, h, w, c)))
-               for i in range(frames)]
+               for _ in range(frames)]
     return target, context
 
 
@@ -172,8 +172,8 @@ class TestPropagateFrame:
         palette = unit_grid(rng, 1, 4, 8)[0]
         base = palette[rng.integers(0, 4, size=(7, 9))]
         frames = [base, base, palette[rng.integers(0, 4, size=(7, 9))], base]
-        context = [(FeatureMap(f, i), LabelMap(random_onehot(rng, 7, 9, 3)))
-                   for i, f in enumerate(frames)]
+        context = [(FeatureMap(f), LabelMap(random_onehot(rng, 7, 9, 3)))
+                   for f in frames]
         target = FeatureMap(palette[rng.integers(0, 4, size=(7, 9))])
         feats, labels = stacked(context)
         for top_k, radius in ((5, 2), (12, 1), (3, 9)):
@@ -197,7 +197,7 @@ class TestPropagateFrame:
         feats = v[np.argsort(rng.random((3, 6, 6, d)), axis=-1)]
         labels = random_onehot(rng, 18, 6, 4).reshape(3, 6, 6, 4)
         target = FeatureMap(np.full((6, 6, d), 1.0 / np.sqrt(d)))
-        context = [(FeatureMap(feats[i], i), LabelMap(labels[i])) for i in range(3)]
+        context = [(FeatureMap(feats[i]), LabelMap(labels[i])) for i in range(3)]
         out = propagate_frame(target, context, PropagationConfig(top_k=5, radius=2))
         ref = propagate_frame_reference(target.grid, feats, labels, 2, 5, 0.07)
         assert np.array_equal(out.grid, ref)
@@ -212,8 +212,8 @@ class TestPropagateFrame:
             return unit_grid(rng, *shape[-2:], 12) * scale
 
         target = FeatureMap(off_unit(9, 10))
-        context = [(FeatureMap(off_unit(9, 10), i), LabelMap(random_onehot(rng, 9, 10, 4)))
-                   for i in range(4)]
+        context = [(FeatureMap(off_unit(9, 10)), LabelMap(random_onehot(rng, 9, 10, 4)))
+                   for _ in range(4)]
         cfg = PropagationConfig(top_k=5, radius=3)
         out = propagate_frame(target, context, cfg)
         feats, labels = stacked(context)
@@ -271,10 +271,10 @@ class TestPropagateVideo:
         mask = rng.integers(0, 2, size=(10, 10)).astype(np.int32)
         cfg = PropagationConfig(top_k=3, radius=2, context_size=0)
         outs = propagate_video(frames, mask, cfg)
-        first = FeatureMap(frames[0], 0)
+        first = FeatureMap(frames[0])
         first_labels = init_labels(mask, (5, 5))
         for t in range(1, 4):
-            expected = propagate_frame(FeatureMap(frames[t], t),
+            expected = propagate_frame(FeatureMap(frames[t]),
                                        [(first, first_labels)], cfg)
             assert np.array_equal(outs[t].grid, expected.grid)
 
@@ -299,7 +299,7 @@ class TestPropagateVideo:
         cfg = PropagationConfig(top_k=3, radius=2, context_size=1)
         outs = propagate_video(frames, mask, cfg)
         # frame 3's context must be {frame 0, prediction for frame 2}
-        maps = [FeatureMap(f, i) for i, f in enumerate(frames)]
+        maps = [FeatureMap(f) for f in frames]
         first_labels = init_labels(mask, (4, 4))
         expected = propagate_frame(
             maps[3], [(maps[0], first_labels), (maps[2], outs[2])], cfg)
