@@ -268,26 +268,46 @@ def _check_finite(x, where):
         raise ValueError(f"non-finite activations after {where}")
 
 
-def _attention(x, params, prefix, config):
+def _attention(x, params, prefix, config, queries):
     qkv = linear(x, params[f"{prefix}/qkv_weight"], params[f"{prefix}/qkv_bias"])
     # the scores' name lets the non-finite rail name the block
-    mixed = attention(qkv, config.heads, f"{prefix} scores")
+    mixed = attention(qkv, config.heads, f"{prefix} scores", queries)
     return linear(mixed, params[f"{prefix}/out_weight"], params[f"{prefix}/out_bias"])
 
 
-def _block(x, params, i, config):
+def _gather_tokens(x, queries):
+    """(B, N, D) tokens -> (B, M, D), crop b's rows at ``queries[b]``."""
+    b, n, d = x.shape
+    flat = (np.arange(b)[:, None] * n + queries).reshape(-1)
+    return reshape(gather_rows(reshape(x, (b * n, d)), flat), queries.shape + (d,))
+
+
+def _block(x, params, i, config, queries=None):
+    """Pre-norm block i on (B, N, D) tokens.
+
+    queries: optional (B, M) token positions, distinct within each crop.
+    Then norm1 and the qkv projection still run on every token, because
+    keys and values come from all of them, while the attention queries,
+    the output projection, the residual, norm2 and the MLP run on the
+    chosen rows only, and the result is (B, M, D). None computes every
+    row.
+    """
     normed = layer_norm(x, params[f"block{i}/norm1/gamma"], params[f"block{i}/norm1/beta"])
-    x = add(x, _attention(normed, params, f"block{i}/attn", config))
+    mixed = _attention(normed, params, f"block{i}/attn", config, queries)
+    if queries is not None:
+        x = _gather_tokens(x, queries)
+    x = add(x, mixed)
     normed = layer_norm(x, params[f"block{i}/norm2/gamma"], params[f"block{i}/norm2/beta"])
     h = gelu(linear(normed, params[f"block{i}/mlp/fc1_weight"], params[f"block{i}/mlp/fc1_bias"]))
     return add(x, linear(h, params[f"block{i}/mlp/fc2_weight"], params[f"block{i}/mlp/fc2_bias"]))
 
 
-def _run_blocks(seq, params, config, depth):
-    """All tokens after the first ``depth`` blocks."""
+def _run_blocks(seq, params, config, depth, queries=None):
+    """Tokens after the first ``depth`` blocks; every token, or only the
+    ``queries`` rows of the last block (see :func:`_block`)."""
     x = seq.tokens
     for i in range(depth):
-        x = _block(x, params, i, config)
+        x = _block(x, params, i, config, queries if i == depth - 1 else None)
         _check_finite(x, f"block {i}")
     return x
 
@@ -305,23 +325,47 @@ def token_rows(seq, crops, positions):
     return np.asarray(crops) * (1 + seq.num_patches) + np.asarray(positions)
 
 
+def _query_slots(rows, batch, tokens):
+    """Per-crop query positions for the last block, and where each of
+    ``rows`` lands in its (B, M) output.
+
+    Each crop asks for its distinct wanted positions in ascending order;
+    a crop that wants fewer than the largest count M is padded with its
+    lowest unwanted positions, so positions stay distinct within a crop.
+    Returns (queries (B, M), flat indices into the B * M output rows).
+    """
+    crops, positions = np.divmod(np.asarray(rows, dtype=np.intp), tokens)
+    wanted = np.zeros((batch, tokens), dtype=bool)
+    wanted[crops, positions] = True
+    m = int(wanted.sum(axis=1).max())
+    queries = np.argsort(~wanted, axis=1, kind="stable")[:, :m]
+    slot = np.cumsum(wanted, axis=1) - 1
+    return queries, crops * m + slot[crops, positions]
+
+
 def forward_batch(seq, params, config, rows=None):
     """(cls_logits (B, k), patch_logits (B, P, k)).
 
     rows: optional flat indices into the B * (1 + P) tokens (see
-    :func:`token_rows`). The backbone always sees every token; given
-    rows, the head runs on those tokens only and the result is the
-    row logits (len(rows), k) alone.
+    :func:`token_rows`), in any order and with duplicates allowed. Given
+    rows, the result is the row logits (len(rows), k) alone, in ``rows``
+    order. Every block but the last runs on all tokens; the last one
+    runs its per-token work (attention queries, output projection,
+    residual, norm2, MLP) and the final norm only on the distinct
+    wanted rows, while its keys and values still come from every token
+    (see :func:`_block`); the head then runs on the wanted rows.
 
     With depth 0 the head consumes the embedded tokens directly and the
     final norm is skipped.
     """
-    x = _run_blocks(seq, params, config, config.depth)
+    queries = None
+    if rows is not None and config.depth > 0:
+        queries, rows = _query_slots(rows, seq.batch, 1 + seq.num_patches)
+    x = _run_blocks(seq, params, config, config.depth, queries)
     if config.depth > 0:
         x = layer_norm(x, params["final_norm/gamma"], params["final_norm/beta"])
     if rows is not None:
-        x = gather_rows(reshape(x, (seq.batch * (1 + seq.num_patches), config.embed_dim)),
-                        rows)
+        x = gather_rows(reshape(x, (-1, config.embed_dim)), rows)
     logits = _head(x, params, config)
     _check_finite(logits, "projection head")
     if rows is not None:

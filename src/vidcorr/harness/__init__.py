@@ -592,6 +592,16 @@ def train(run, resume=None, progress=None):
 # -- evaluation ------------------------------------------------------------------
 
 
+def _frame_mask(source, i, frame_shape):
+    """Stored mask i of ``source``; one whose shape is not its frame's
+    (H, W) raises, naming the file."""
+    mask = source.mask(i)
+    if mask.shape != frame_shape:
+        raise ValueError(f"{source.mask_paths[i]}: mask shape {mask.shape} "
+                         f"differs from its frame's {frame_shape}")
+    return mask
+
+
 def predict_masks(source, params, model_config, prop_config):
     """Object-id masks for every frame of a VideoSource, propagated from
     its first-frame mask over the encoder's inference features."""
@@ -599,7 +609,9 @@ def predict_masks(source, params, model_config, prop_config):
         raise ValueError(f"{source.directory} carries no first-frame mask")
     features = [extract_inference_features(source[i], params, model_config).data
                 for i in range(len(source))]
-    label_maps = propagate_video(features, source.mask(0), prop_config)
+    # the token grid covers the frame exactly (token_grid rejects the rest)
+    frame_shape = tuple(n * model_config.patch_size for n in features[0].shape[:2])
+    label_maps = propagate_video(features, _frame_mask(source, 0, frame_shape), prop_config)
     return [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
 
 
@@ -611,7 +623,7 @@ def evaluate(params, model_config, prop_config, eval_root):
         if len(source.mask_paths) != len(source):
             raise ValueError(f"{source.directory}: need one mask per frame to score")
         pred = predict_masks(source, params, model_config, prop_config)
-        truth = [source.mask(i) for i in range(len(source))]
+        truth = [_frame_mask(source, i, pred[i].shape) for i in range(len(source))]
         for obj in range(1, int(truth[0].max()) + 1):
             tracks.append(score_track(pred, truth, obj, sequence=source.source_id))
     scores = aggregate(tracks)

@@ -459,7 +459,7 @@ def softmax_t(logits, axis=-1, temperature=1.0):
     return _result(y, (logits,), lambda g: (_softmax_vjp(g, y, axis, inv_t),))
 
 
-def attention(qkv, heads, name):
+def attention(qkv, heads, name, queries=None):
     """Multi-head self-attention core as one graph node.
 
     qkv: (B, N, 3D) with the query, key and value projections side by
@@ -469,6 +469,13 @@ def attention(qkv, heads, name):
     transpose, matmul, softmax_t at temperature sqrt(dh)) op for op, so
     values and gradients match it bitwise. ``name`` labels the scores in
     the non-finite error.
+
+    queries: optional (B, M) integer array of token positions, distinct
+    within each crop. Then scores, softmax and value mixing run only for
+    those M query rows of each crop, against the keys and values of all
+    N tokens, and the result is (B, M, D) in ``queries`` order. The
+    gradient reaches every key and value row, and the query part of the
+    chosen rows only.
     """
     qkv = as_tensor(qkv)
     b, n, d3 = qkv.shape
@@ -480,15 +487,21 @@ def attention(qkv, heads, name):
         return x[:, :, start:start + d].reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = split(0), split(d), split(2 * d)
+    if queries is None:
+        at = np.s_[:, :]
+    else:
+        q = np.take_along_axis(q, queries[:, None, :, None], axis=2)
+        at = (np.arange(b)[:, None], queries)
+    m = q.shape[2]
     k_t = np.transpose(k, (0, 1, 3, 2))
     scores = q @ k_t
     _check_softmax_input(scores, name)
     inv_t = np.asarray(1.0 / math.sqrt(dh), dtype=qkv.dtype)
     attn = _softmax(scores, -1, inv_t)
-    mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, n, d)
+    mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, m, d)
 
     def vjp(g):
-        g = np.transpose(g.reshape(b, n, heads, dh), (0, 2, 1, 3))
+        g = np.transpose(g.reshape(b, m, heads, dh), (0, 2, 1, 3))
         g_attn = g @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(attn, -1, -2) @ g
         g_scores = _softmax_vjp(g_attn, attn, -1, inv_t)
@@ -497,7 +510,8 @@ def attention(qkv, heads, name):
         # accumulate into zeros as the graph's flow sum does, so -0.0 -> +0.0
         full = np.zeros(x.shape, dtype=g.dtype)
         parts = full.reshape(b, n, 3, heads, dh)
-        for i, part in enumerate((g_q, g_k, g_v)):
+        parts[at + (0,)] += np.transpose(g_q, (0, 2, 1, 3))
+        for i, part in ((1, g_k), (2, g_v)):
             parts[:, :, i] += np.transpose(part, (0, 2, 1, 3))
         return (full,)
 

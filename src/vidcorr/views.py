@@ -311,14 +311,6 @@ def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
             for i in range(clip_len)]
 
 
-def sample_mask(num_tokens, rng, gate_probability=0.5, r_range=(0.1, 0.5)):
-    """One frame's mask: the single-frame case of :func:`sample_clip_masks`,
-    so it makes the same gate, ratio and pattern draws. None when the gate
-    is off or K = round(num_tokens * r) is 0."""
-    masks = sample_clip_masks(num_tokens, 1, rng, gate_probability, r_range)
-    return None if masks is None else masks[0]
-
-
 # -- pnm i/o and the video store -------------------------------------------------
 
 

@@ -48,7 +48,7 @@ from vidcorr.propagation import (
     PropagationConfig,
     propagate_frame,
 )
-from vidcorr.views import MaskPattern, make_frame_pairs, sample_mask
+from vidcorr.views import MaskPattern, make_frame_pairs, sample_clip_masks
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -195,8 +195,8 @@ def test_criterion_4_affinity_contracts(capsys):
     structure_ok = True
     for draw in range(1000):
         tokens = 16 if draw % 2 == 0 else 64
-        pattern = sample_mask(tokens, rng.substream(f"draw{draw}"),
-                              gate_probability=1.0)
+        pattern = sample_clip_masks(tokens, 1, rng.substream(f"draw{draw}"),
+                                    gate_probability=1.0)[0]
         structure_ok &= 0.1 < pattern.ratio < 0.5
         structure_ok &= pattern.count == round(tokens * pattern.ratio)
         structure_ok &= int(pattern.m.sum()) == pattern.count

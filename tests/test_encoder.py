@@ -23,10 +23,13 @@ from vidcorr.numerics import (
     Tensor,
     add,
     backward,
+    concat,
+    gather_rows,
     grad_check,
     mul,
     named_list_bytes,
     parse_named_list,
+    reshape,
     tensor_sum,
 )
 
@@ -338,6 +341,77 @@ class TestForward:
         # depth 1: attention mixes every token of crop 1 into the picked row
         touched = np.abs(tokens.grad).sum(axis=-1) > 0
         assert touched[1].all() and not touched[[0, 2]].any()
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_last_block_on_selected_rows_matches_full_forward(self, depth):
+        """rows= runs the last block's per-token work on the wanted rows
+        only; values, the token gradient and every parameter gradient
+        equal those of the same rows gathered from the full forward.
+        Rows come out of crop order, with a different count per crop,
+        duplicates, and class and patch positions mixed."""
+        config, params, _ = micro_setup(seed=4, depth=depth, heads=2,
+                                        inference_layer=depth)
+        images = [Rng(20 + i).uniform(size=(4, 4, 3)) for i in range(3)]
+        seq = patchify_batch(images, params, config)
+        rows = token_rows(seq, [2, 0, 2, 1, 2, 0, 2, 2],
+                          [3, 0, 0, 4, 3, 2, 1, 4])
+        weights = Tensor(np.random.default_rng(1).normal(size=(len(rows), config.proj_dim)))
+
+        def run(pruned):
+            for _, t in params.named_parameters():
+                t.zero_grad()
+            tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
+            sub = TokenSequence(tokens, seq.grid)
+            if pruned:
+                picked = forward_batch(sub, params, config, rows=rows)
+            else:
+                cls_logits, patch_logits = forward_batch(sub, params, config)
+                every = concat([reshape(cls_logits, (3, 1, config.proj_dim)), patch_logits],
+                               axis=1)
+                picked = gather_rows(reshape(every, (-1, config.proj_dim)), rows)
+            backward(tensor_sum(mul(picked, weights)))
+            grads = {name: t.grad for name, t in params.named_parameters()
+                     if t.grad is not None}
+            return picked.data, tokens.grad, grads
+
+        def rel(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        value, token_grad, grads = run(pruned=True)
+        ref_value, ref_token_grad, ref_grads = run(pruned=False)
+        assert value.shape == (len(rows), config.proj_dim)
+        assert rel(value, ref_value) <= 1e-12
+        assert rel(token_grad, ref_token_grad) <= 1e-12
+        # the embedding parameters sit before the tokens and get no grad
+        assert set(grads) == set(ref_grads) == {
+            name for name, _ in params.named_parameters()
+            if name.startswith(("block", "final_norm", "head"))}
+        for name, grad in grads.items():
+            assert rel(grad, ref_grads[name]) <= 1e-12, name
+
+    def test_selected_rows_gradients_match_finite_differences(self):
+        """Through rows= at depth 2, with masking, uneven per-crop counts
+        and a duplicate row; a parameter per family of both blocks."""
+        config, params, _ = micro_setup(seed=12, depth=2, inference_layer=2)
+        images = np.stack([Rng(30 + i).uniform(size=(4, 4, 3)) for i in range(2)])
+        w_rows = Tensor(np.random.default_rng(2).normal(size=(5, 8)))
+
+        def loss_with(name, tensor):
+            trial = EncoderParams(config, {**dict(params.named_parameters()), name: tensor})
+            seq = apply_mask_tokens(patchify_batch(images, trial, config),
+                                    np.array([[0, 1, 0, 1], [1, 0, 0, 0]]), trial)
+            rows = token_rows(seq, [1, 0, 0, 1, 0], [1, 2, 4, 0, 2])
+            return tensor_sum(mul(forward_batch(seq, trial, config, rows=rows), w_rows))
+
+        for name in ["patch_proj/weight", "mask_token", "pos_embed/grid",
+                     "block0/attn/qkv_weight", "block0/mlp/fc2_weight",
+                     "block1/norm1/gamma", "block1/attn/qkv_weight",
+                     "block1/attn/out_weight", "block1/norm2/beta",
+                     "block1/mlp/fc1_weight", "final_norm/gamma", "head/fc0_weight"]:
+            base = params[name]
+            probe = Tensor(base.data.copy(), requires_grad=True, name=name)
+            report = grad_check(lambda t: loss_with(name, t), probe, h=5e-5)
+            assert report.max_rel_error < 1e-4, f"{name}: {report.max_rel_error:.3e}"
 
     def test_nonfinite_names_block(self):
         config, params, image = micro_setup()

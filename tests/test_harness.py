@@ -79,6 +79,14 @@ def micro_pairs(data, out, **extra):
     return pairs
 
 
+def cropped_pgm(buf, side):
+    """P5 bytes of the top-left side x side corner of a P5 image."""
+    _, dims, _, pixels = buf.split(b"\n", 3)
+    width, height = map(int, dims.split())
+    corner = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)[:side, :side]
+    return b"P5\n%d %d\n255\n" % (side, side) + corner.tobytes()
+
+
 def tree_digest(root):
     """One hash over every file under root, path-ordered."""
     h = hashlib.sha256()
@@ -666,7 +674,11 @@ class TestCli:
     @pytest.mark.parametrize("name, damage", [
         ("frame_00003.ppm", lambda buf: buf[:-10]),
         ("mask_00002.pgm", lambda buf: buf.replace(b"\n16 ", b"\nxx ", 1)),
-    ], ids=["truncated-frame", "non-integer-mask-header"])
+        # 10 px is off the 4-px patch grid; 8 px fits it but not the frame
+        ("mask_00000.pgm", lambda buf: cropped_pgm(buf, 10)),
+        ("mask_00003.pgm", lambda buf: cropped_pgm(buf, 8)),
+    ], ids=["truncated-frame", "non-integer-mask-header", "first-mask-off-grid",
+            "mask-smaller-than-frame"])
     def test_corrupt_video_file_exits_2(self, dataset_root, tmp_path, capsys,
                                         name, damage):
         data = tmp_path / "data"

@@ -19,7 +19,6 @@ from vidcorr.views import (
     read_ppm,
     sample_clip,
     sample_clip_masks,
-    sample_mask,
     write_index,
     write_pgm,
     write_ppm,
@@ -259,17 +258,17 @@ class TestSampleMask:
     def test_gate_off_returns_none(self):
         outcomes = {True: 0, False: 0}
         for seed in range(60):
-            got = sample_mask(16, Rng(seed))
+            got = sample_clip_masks(16, 1, Rng(seed))
             outcomes[got is None] += 1
         assert outcomes[True] > 10 and outcomes[False] > 10
 
     def test_gate_probability_one_always_masks(self):
         for seed in range(20):
-            assert sample_mask(16, Rng(seed), gate_probability=1.0) is not None
+            assert sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0) is not None
 
     def test_exact_count_every_draw(self):
         for seed in range(50):
-            pattern = sample_mask(64, Rng(seed), gate_probability=1.0)
+            pattern = sample_clip_masks(64, 1, Rng(seed), gate_probability=1.0)[0]
             assert pattern.m.sum() == pattern.count
             assert pattern.count == int(round(64 * pattern.ratio))
             assert pattern.m.shape == (64,)
@@ -278,16 +277,16 @@ class TestSampleMask:
         """Mean of r over many draws sits near 0.3."""
         total = 0.0
         for seed in range(10_000):
-            total += sample_mask(16, Rng(seed), gate_probability=1.0).ratio
+            total += sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0)[0].ratio
         assert abs(total / 10_000 - 0.3) < 0.01
 
     def test_half_ratio_is_blockwise(self):
         """K=8 on a 4x4 grid: cells arrive as rectangles, not salt."""
         pattern = None
         for seed in range(100):
-            cand = sample_mask(16, Rng(seed), gate_probability=1.0, r_range=(0.5, 0.5))
-            if cand is not None and cand.count == 8:
-                pattern = cand
+            cand = sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0, r_range=(0.5, 0.5))
+            if cand is not None and cand[0].count == 8:
+                pattern = cand[0]
                 break
         assert pattern is not None
         grid = pattern.m.reshape(4, 4)
@@ -297,7 +296,7 @@ class TestSampleMask:
     def test_rectangle_decomposition(self):
         """Greedy maximal-rectangle peeling covers the mask in far fewer
         rectangles than cells."""
-        pattern = sample_mask(64, Rng(3), gate_probability=1.0, r_range=(0.4, 0.5))
+        pattern = sample_clip_masks(64, 1, Rng(3), gate_probability=1.0, r_range=(0.4, 0.5))[0]
         grid = pattern.m.reshape(8, 8).copy()
         rects = 0
         while grid.any():
@@ -315,25 +314,16 @@ class TestSampleMask:
 
     def test_non_square_grid_rejected(self):
         with pytest.raises(ValueError):
-            sample_mask(15, Rng(0))
+            sample_clip_masks(15, 1, Rng(0))
 
     def test_deterministic(self):
-        a = sample_mask(64, Rng(21), gate_probability=1.0)
-        b = sample_mask(64, Rng(21), gate_probability=1.0)
+        a = sample_clip_masks(64, 1, Rng(21), gate_probability=1.0)[0]
+        b = sample_clip_masks(64, 1, Rng(21), gate_probability=1.0)[0]
         assert np.array_equal(a.m, b.m) and a.ratio == b.ratio
-
-    def test_is_the_one_frame_clip_draw(self):
-        """Criterion 4 checks the draw training makes: a frame's mask is
-        the first pattern of a one-frame clip draw, bit for bit."""
-        for seed in range(200):
-            a = sample_mask(64, Rng(seed), 1.0)
-            b = sample_clip_masks(64, 1, Rng(seed), 1.0)[0]
-            assert a.m.tobytes() == b.m.tobytes()
-            assert (a.ratio, a.count) == (b.ratio, b.count)
 
     def test_zero_count_returns_none(self):
         """K = round(P * r) = 0 skips the masked losses, as for a clip."""
-        assert sample_mask(16, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
+        assert sample_clip_masks(16, 1, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
         assert sample_clip_masks(16, 2, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
 
 
