@@ -220,7 +220,7 @@ def _flatten_patches(images, patch_size):
 def patchify_batch(images, params, config):
     """Embed a stack of same-size crops: linear patch projection, class
     token prepended, position embedding added."""
-    images = np.asarray([img.data if isinstance(img, Tensor) else img for img in images])
+    images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3:
         raise ValueError(f"expected (batch, H, W, 3) images, got {images.shape}")
     b = images.shape[0]

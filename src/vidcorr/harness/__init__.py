@@ -70,7 +70,7 @@ from vidcorr.views import (
     sample_clip_masks,
 )
 
-from .synthetic import gen_synthetic_dataset  # re-export
+from .synthetic import gen_synthetic_dataset  # noqa: F401
 
 
 # -- configuration ---------------------------------------------------------------
@@ -118,6 +118,9 @@ class RunConfig:
         self.prop = self.prop or PropagationConfig()
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be positive")
+        if not 0 <= self.opt.warmup_epochs < self.epochs:
+            raise ValueError(f"opt.warmup_epochs {self.opt.warmup_epochs} must lie "
+                             f"in [0, epochs {self.epochs})")
         if not 0.0 <= self.gate_probability <= 1.0:
             raise ValueError("gate_probability must lie in [0, 1]")
         if not 0.0 <= self.ema_momentum <= 1.0:
@@ -346,10 +349,6 @@ def params_from_checkpoint(path):
 # -- the training loop -----------------------------------------------------------
 
 
-def _stack_images(records):
-    return np.stack([rec.image for rec in records])
-
-
 def clip_affinity_loss(t_rows, s_rows, counts, temps):
     """Affinity-consistency loss of one clip from its masked rows.
 
@@ -364,19 +363,21 @@ def clip_affinity_loss(t_rows, s_rows, counts, temps):
         q_t.append(l2_normalize_rows(Tensor(t_rows[offset:offset + count])))
         q_s.append(l2_normalize_rows(narrow(s_rows, 0, offset, count)))
         offset += count
-    t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher, j, j + 1)
+    t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher)
              for j in range(len(counts) - 1)]
-    s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student, j, j + 1)
+    s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student)
              for j in range(len(counts) - 1)]
     return loss_in_aff(t_aff, s_aff)
 
 
-def step_losses(crop_sets, clip_masks, student, teacher, run):
+def step_losses(crops, clip_masks, student, teacher, run):
     """The four loss terms of one training step, each averaged over the
     batch of clips.
 
-    crop_sets: one CropSet per clip; clip_masks: per clip one MaskPattern
-    per frame, or None where the gate is off (always None in g2g mode).
+    crops: per clip the (global, local) crop stacks of
+    :func:`vidcorr.views.make_crops`; clip_masks: per clip the
+    (clip_len, P) bool masks of :func:`vidcorr.views.sample_clip_masks`,
+    or None where the gate is off (always None in g2g mode).
     Returns (breakdown, t_cls, t_patch); the teacher's raw logits also
     feed the center update.
 
@@ -389,8 +390,8 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
     clip_len, m_locals = view.clip_len, view.locals_per_frame
     k = model.proj_dim
     pairs = make_frame_pairs(clip_len)
-    batch = len(crop_sets)
-    global_images = _stack_images([rec for cs in crop_sets for rec in cs.globals_])
+    batch = len(crops)
+    global_images = np.concatenate([globals_ for globals_, _ in crops])
 
     t_cls, t_patch = forward_batch(
         patchify_batch(global_images, teacher.params, model), teacher.params, model)
@@ -404,24 +405,23 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
     s_cls = class_logits(global_images)
     l_cls = None
     if run.loss_mode != "g2g":
-        l_cls = class_logits(_stack_images(
-            [rec for cs in crop_sets for per_frame in cs.locals_ for rec in per_frame]))
+        l_cls = class_logits(np.concatenate([locals_ for _, locals_ in crops]))
 
     # one mask-token forward over the gated-in clips; its rows come out
     # clip by clip, frame by frame, positions ascending, so each clip's
     # block starts at the running sum of the earlier clips' masked counts
     gated = [i for i in range(batch) if clip_masks[i] is not None]
     if gated:
-        crops = np.concatenate([np.arange(i * clip_len, (i + 1) * clip_len)
-                                for i in gated])
-        masks = np.stack([pat.m for i in gated for pat in clip_masks[i]])
+        gated_crops = np.concatenate([np.arange(i * clip_len, (i + 1) * clip_len)
+                                      for i in gated])
+        masks = np.concatenate([clip_masks[i] for i in gated])
         masked_seq = apply_mask_tokens(
-            patchify_batch(global_images[crops], student, model), masks, student)
+            patchify_batch(global_images[gated_crops], student, model), masks, student)
         crop_idx, patch_idx = np.nonzero(masks)
         s_rows = forward_batch(masked_seq, student, model,
                                rows=token_rows(masked_seq, crop_idx, 1 + patch_idx))
         sd_rows = student_distribution(s_rows, temps)
-        t_rows = t_patch.data[crops[crop_idx], patch_idx]
+        t_rows = t_patch.data[gated_crops[crop_idx], patch_idx]
 
     g2g_terms, l2g_terms, mim_terms, aff_terms = [], [], [], []
     offset = 0
@@ -436,7 +436,7 @@ def step_losses(crop_sets, clip_masks, student, teacher, run):
             l2g_terms.append(loss_out_l2g(td_i, loc_i, pairs))
         if clip_masks[i] is None:
             continue
-        counts = [int(np.count_nonzero(pat.m)) for pat in clip_masks[i]]
+        counts = clip_masks[i].sum(axis=1).tolist()
         n_rows = sum(counts)
         tdp_i = teacher_distribution(Tensor(t_rows[offset:offset + n_rows]),
                                      teacher, temps, "patch")
@@ -474,18 +474,17 @@ def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
     # modes see identical views at a given seed
     g2g_only = run.loss_mode == "g2g"
 
-    crop_sets, clip_masks = [], []
+    crops, clip_masks = [], []
     for i, source in enumerate(group):
         crng = srng.substream(f"clip{i}")
-        clip = sample_clip(source, crng.substream("frames"), view)
-        crop_sets.append(make_crops(clip, crng.substream("crops"), view))
+        frames = sample_clip(source, crng.substream("frames"), view)
+        crops.append(make_crops(frames, crng.substream("crops"), view))
         clip_masks.append(None if g2g_only else sample_clip_masks(
             gh * gw, view.clip_len, crng.substream("mask"),
             run.gate_probability, run.mask_ratio))
     gated = any(masks is not None for masks in clip_masks)
 
-    breakdown, t_cls, t_patch = step_losses(crop_sets, clip_masks, student,
-                                            teacher, run)
+    breakdown, t_cls, t_patch = step_losses(crops, clip_masks, student, teacher, run)
     lr = lr_at(step, opt_config)
     wd = wd_at(step, opt_config)
 
@@ -517,12 +516,17 @@ def train(run, resume=None, progress=None):
     covered are skipped without drawing randomness, so a resumed run is
     bitwise identical to an uninterrupted one, train.log included. Three
     consecutive non-finite steps abort."""
-    data_root = Path(run.data)
-    sources = load_store(data_root / "train")
+    split = Path(run.data) / "train"
+    sources = load_store(split)
+    if not sources:
+        raise ValueError(f"{split / 'videos.txt'}: lists no training videos")
     for source in sources:
         if source.has_masks:
             raise ValueError(
                 f"training split must not carry masks: {source.directory}")
+        if len(source) < run.view.clip_span:
+            raise ValueError(f"{source.directory}: video of {len(source)} frames "
+                             f"too short for clip span {run.view.clip_span}")
 
     config_text = canonical_config_text(run)
     if resume is not None:
@@ -607,8 +611,14 @@ def predict_masks(source, params, model_config, prop_config):
     its first-frame mask over the encoder's inference features."""
     if not source.has_masks:
         raise ValueError(f"{source.directory} carries no first-frame mask")
-    features = [extract_inference_features(source[i], params, model_config).data
-                for i in range(len(source))]
+    first = source[0]
+    features = []
+    for i in range(len(source)):
+        frame = source[i] if i else first
+        if frame.shape != first.shape:
+            raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
+                             f"differs from the first frame's {first.shape[:2]}")
+        features.append(extract_inference_features(frame, params, model_config).data)
     # the token grid covers the frame exactly (token_grid rejects the rest)
     frame_shape = tuple(n * model_config.patch_size for n in features[0].shape[:2])
     label_maps = propagate_video(features, _frame_mask(source, 0, frame_shape), prop_config)
@@ -624,8 +634,11 @@ def evaluate(params, model_config, prop_config, eval_root):
             raise ValueError(f"{source.directory}: need one mask per frame to score")
         pred = predict_masks(source, params, model_config, prop_config)
         truth = [_frame_mask(source, i, pred[i].shape) for i in range(len(source))]
-        for obj in range(1, int(truth[0].max()) + 1):
-            tracks.append(score_track(pred, truth, obj, sequence=source.source_id))
+        # only the objects of the first-frame mask are propagated
+        for obj in np.unique(truth[0]):
+            if obj:
+                tracks.append(score_track(pred, truth, int(obj),
+                                          sequence=source.source_id))
     scores = aggregate(tracks)
     return scores, report(scores)
 

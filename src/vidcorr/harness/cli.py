@@ -10,14 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import (
     build_run_config,
     evaluate,
     load_run_config,
     params_from_checkpoint,
-    parse_config_text,
     parse_value,
     propagate_and_save,
     train,
@@ -68,6 +65,8 @@ def build_parser():
 
 
 def _collect_config(args):
+    """The run config of --config, --set and --seed; a value that the
+    config rejects is a usage error."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -76,9 +75,12 @@ def _collect_config(args):
         overrides[key.strip()] = parse_value(value)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.config:
-        return load_run_config(args.config, overrides)
-    return build_run_config(overrides)
+    try:
+        if args.config:
+            return load_run_config(args.config, overrides)
+        return build_run_config(overrides)
+    except (TypeError, ValueError) as e:
+        raise KeyError(str(e)) from None
 
 
 def _cmd_gen_data(args):

@@ -19,12 +19,14 @@ from vidcorr.objectives import (
     student_distribution,
     total_loss,
 )
-from vidcorr.views import MaskPattern, make_frame_pairs
+from vidcorr.views import make_frame_pairs
 
 CLIP_LEN = 2
 LOCALS = 2
 TOKENS = 4  # 2x2 grid
 WIDTH = 16
+# K = 2 masked tokens per frame, one row per frame
+MASKS = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=bool)
 
 
 def _teacher_rows(g, shape):
@@ -33,26 +35,20 @@ def _teacher_rows(g, shape):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mask_patterns():
-    return [MaskPattern(np.array([1, 0, 0, 1], dtype=bool), 0.5, 2),
-            MaskPattern(np.array([0, 1, 1, 0], dtype=bool), 0.5, 2)]
-
-
 def loss_fidelity_report(seed=0, h=1e-3):
     """[(loss name, max relative error)] for the four losses and the
     equal-weight total, each checked against central differences."""
     g = np.random.default_rng(seed)
     temps = TemperatureConfig()
     pairs = make_frame_pairs(CLIP_LEN)
-    masks = _mask_patterns()
 
     td_cls = Tensor(_teacher_rows(g, (CLIP_LEN, WIDTH)))
     td_patch = _teacher_rows(g, (CLIP_LEN, TOKENS, WIDTH))
     t_patch_raw = g.normal(size=(CLIP_LEN, TOKENS, WIDTH))
     # masked rows frame by frame, as step_losses gathers them
-    crop_idx, patch_idx = np.nonzero(np.stack([pat.m for pat in masks]))
+    crop_idx, patch_idx = np.nonzero(MASKS)
     rows = crop_idx * TOKENS + patch_idx
-    counts = [pat.count for pat in masks]
+    counts = MASKS.sum(axis=1).tolist()
     td_rows = Tensor(td_patch.reshape(CLIP_LEN * TOKENS, WIDTH)[rows])
     t_rows = t_patch_raw.reshape(CLIP_LEN * TOKENS, WIDTH)[rows]
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, _result, as_tensor
+from .tensor import _result, as_tensor
 
 
 def _catmull_rom(t):

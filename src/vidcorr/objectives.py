@@ -164,49 +164,34 @@ def loss_in_mim(teacher_rows, student_rows, clip_len):
     return scale(_ce_rowsum(teacher_rows, student_rows), 1.0 / clip_len)
 
 
-@dataclass
-class AffinityMatrix:
-    """Row-stochastic K x K transition between consecutive frames."""
-
-    values: Tensor
-    source_index: int
-    target_index: int
-    temperature: float
-
-    def __post_init__(self):
-        v = self.values.data
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"affinity must be square, got {v.shape}")
-        # np.allclose(sums, 1.0, atol=1e-6) without its per-call overhead
-        if not (np.abs(v.sum(axis=-1) - 1.0) <= 1e-6 + 1e-5).all():
-            raise ValueError("affinity rows must sum to 1")
-
-
-def build_affinity(q_a, q_b, temperature, source_index=0, target_index=1):
-    """Rowwise softmax of the K x K similarity matrix Q_a Q_b^T / τ.
+def build_affinity(q_a, q_b, temperature):
+    """Row-stochastic K x K transition between two frames: the rowwise
+    softmax of the similarity matrix Q_a Q_b^T / τ, as a Tensor.
 
     Rows of both Q matrices are unit-norm (the caller normalizes), so
     the similarities are cosines."""
     if q_a.ndim != 2 or q_b.ndim != 2 or q_a.shape != q_b.shape:
         raise ValueError(f"Q shapes differ: {q_a.shape} vs {q_b.shape}")
-    sims = matmul(q_a, transpose(q_b))
-    values = softmax_t(sims, temperature=temperature)
-    return AffinityMatrix(values, source_index, target_index, temperature)
+    values = softmax_t(matmul(q_a, transpose(q_b)), temperature=temperature)
+    # np.allclose(sums, 1.0, atol=1e-6) without its per-call overhead
+    if not (np.abs(values.data.sum(axis=-1) - 1.0) <= 1e-6 + 1e-5).all():
+        raise ValueError("affinity rows must sum to 1")
+    return values
 
 
 def loss_in_aff(teacher_affinities, student_affinities):
     """Affinity consistency: mean over the L-1 frame transitions of the
-    row-summed cross-entropy between teacher and student matrices."""
+    row-summed cross-entropy between teacher and student matrices, each
+    a list of (K, K) Tensors from :func:`build_affinity`."""
     if len(teacher_affinities) != len(student_affinities):
         raise ValueError("teacher/student transition counts differ")
     if not teacher_affinities:
         return zero_loss()
     total = None
     for t_mat, s_mat in zip(teacher_affinities, student_affinities):
-        if t_mat.values.shape != s_mat.values.shape:
-            raise ValueError(
-                f"affinity shapes differ: {t_mat.values.shape} vs {s_mat.values.shape}")
-        term = _ce_rowsum(t_mat.values, s_mat.values)
+        if t_mat.shape != s_mat.shape:
+            raise ValueError(f"affinity shapes differ: {t_mat.shape} vs {s_mat.shape}")
+        term = _ce_rowsum(t_mat, s_mat)
         total = term if total is None else add(total, term)
     return scale(total, 1.0 / len(teacher_affinities))
 

@@ -61,46 +61,10 @@ class ViewConfig:
         if self.frameskip < 1:
             raise ValueError("frameskip must be >= 1")
 
-
-@dataclass
-class VideoClip:
-    """L consecutive (strided) frames from one source video."""
-
-    frames: list  # L arrays (H, W, 3) in [0, 1]
-    source_id: str
-    frame_indices: list
-
-    def __post_init__(self):
-        n = len(self.frames)
-        if n < 2 or n % 2:
-            raise ValueError(f"clip length must be even and >= 2, got {n}")
-
-
-@dataclass
-class CropRecord:
-    """One crop with everything needed to replay it bit-exactly."""
-
-    image: np.ndarray  # (size, size, 3) in [0, 1]
-    rect: tuple  # (y, x, h, w) in source-frame pixels
-    flipped: bool
-    jitter: tuple or None  # (brightness, contrast, saturation) factors
-
-
-@dataclass
-class CropSet:
-    """Per clip: one global crop per frame plus M locals per frame."""
-
-    globals_: list  # L CropRecords
-    locals_: list  # L lists of M CropRecords
-
-
-@dataclass
-class MaskPattern:
-    """Blockwise token mask over a square token grid."""
-
-    m: np.ndarray  # flat boolean, row-major over the grid
-    ratio: float
-    count: int
+    @property
+    def clip_span(self):
+        """Source frames one clip covers, first to last."""
+        return (self.clip_len - 1) * self.frameskip + 1
 
 
 def make_frame_pairs(clip_len):
@@ -116,17 +80,16 @@ def make_frame_pairs(clip_len):
 
 
 def sample_clip(source, rng, config):
-    """Pick a uniformly random start and take clip_len frames spaced by
-    the frameskip. ``source`` is any sequence of (H, W, 3) frames."""
-    needed = (config.clip_len - 1) * config.frameskip + 1
+    """Pick a uniformly random start and return the clip_len frames
+    spaced by the frameskip from there. ``source`` is any sequence of
+    (H, W, 3) frames."""
+    needed = config.clip_span
     n = len(source)
     if n < needed:
         raise ValueError(f"video of {n} frames too short for clip span {needed}")
     start = int(rng.integers(0, n - needed + 1))
-    indices = [start + i * config.frameskip for i in range(config.clip_len)]
-    frames = [np.asarray(source[i]) for i in indices]
-    source_id = getattr(source, "source_id", "")
-    return VideoClip(frames, source_id, indices)
+    return [np.asarray(source[start + i * config.frameskip])
+            for i in range(config.clip_len)]
 
 
 # -- crops ---------------------------------------------------------------------
@@ -183,15 +146,16 @@ def _resample_axis(origin, extent, size):
 
 
 def _render_crops(frames, picks, size):
-    """Render same-size crops in one pass; returns one image per pick.
+    """Render same-size crops in one pass into one (n, size, size, 3)
+    array, in pick order.
 
     picks: (frame index, (y, x, h, w), flipped, jitter) per crop. Each
     crop is the bilinear resize of its rectangle to (size, size),
     mirrored left-right when flipped, then color jittered when jitter
     holds (brightness, contrast, saturation) factors: scale by b, pull
     toward the crop mean by c, pull toward the luma gray by s. Values
-    are clipped to [0, 1]; jittered crops come out in float64 (the luma
-    weights are float64), the others in the frames' dtype.
+    are clipped to [0, 1]. The array is float64 when any crop is
+    jittered (the luma weights are float64), else the frames' dtype.
     """
     stack = np.stack(frames)
     frame = np.array([p[0] for p in picks], dtype=np.intp)[:, None, None]
@@ -209,7 +173,7 @@ def _render_crops(frames, picks, size):
     top = stack[frame, rows0, cols0] * (1.0 - fx) + stack[frame, rows0, cols1] * fx
     bot = stack[frame, rows1, cols0] * (1.0 - fx) + stack[frame, rows1, cols1] * fx
     out = (top * (1.0 - fy) + bot * fy).astype(stack.dtype, copy=False)
-    images = list(np.clip(out, 0.0, 1.0))
+    images = np.clip(out, 0.0, 1.0)
 
     jittered = [i for i, p in enumerate(picks) if p[3] is not None]
     if jittered:
@@ -226,40 +190,44 @@ def _render_crops(frames, picks, size):
         mean = flat.mean(axis=1)[:, None, None, None]
         out = mean + (out - mean) * c.astype(stack.dtype)
         gray = (out @ _LUMA)[..., None]
-        out = np.clip(gray + (out - gray) * s, 0.0, 1.0)
-        for i, image in zip(jittered, out):
-            images[i] = image
+        images = images.astype(np.float64)
+        images[jittered] = np.clip(gray + (out - gray) * s, 0.0, 1.0)
     return images
 
 
-def make_crops(clip, rng, config):
-    """One global and M local crops per frame.
+def _crop_picks(frames, rng, config):
+    """Every crop draw of a clip: (global picks, local picks), each a
+    list of (frame index, (y, x, h, w), flipped, jitter) with jitter
+    None or (brightness, contrast, saturation) factors. Globals come one
+    per frame, locals M per frame, frame-major.
 
     Flip and color jitter touch only the families named by
     flip_jitter_target (default: locals), drawn from dedicated
     substreams so the untouched family is bitwise identical to a
-    jitter-free run. All rectangles are drawn first; each family is
-    then rendered in one pass."""
+    jitter-free run."""
     aug_globals = config.flip_jitter_target in ("globals", "both")
     aug_locals = config.flip_jitter_target in ("locals", "both")
     global_picks, local_picks = [], []
-    for i, frame in enumerate(clip.frames):
+    for i, frame in enumerate(frames):
         frame_rng = rng.substream(f"frame{i}")
         global_picks.append((i, *_draw_crop(frame.shape, frame_rng.substream("global"),
                                             config.global_scale, aug_globals, config)))
         local_picks += [(i, *_draw_crop(frame.shape, frame_rng.substream(f"local{j}"),
                                         config.local_scale, aug_locals, config))
                         for j in range(config.locals_per_frame)]
+    return global_picks, local_picks
 
-    def records(picks, size):
-        images = _render_crops(clip.frames, picks, size)
-        return [CropRecord(image, rect, flipped, jitter)
-                for image, (_, rect, flipped, jitter) in zip(images, picks)]
 
-    local_records = records(local_picks, config.local_size)
-    m = config.locals_per_frame
-    return CropSet(records(global_picks, config.global_size),
-                   [local_records[i * m:(i + 1) * m] for i in range(len(clip.frames))])
+def make_crops(frames, rng, config):
+    """One global and M local crops per frame of a clip.
+
+    Returns the (L, S, S, 3) global crops and the frame-major
+    (L * M, s, s, 3) local crops, S and s being the global and local
+    sizes. All draws come first (:func:`_crop_picks`); each family is
+    then rendered in one pass (:func:`_render_crops`)."""
+    global_picks, local_picks = _crop_picks(frames, rng, config)
+    return (_render_crops(frames, global_picks, config.global_size),
+            _render_crops(frames, local_picks, config.local_size))
 
 
 # -- masks ---------------------------------------------------------------------
@@ -290,7 +258,9 @@ def _place_blocks(grid_side, count, rng):
 
 def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
                       r_range=(0.1, 0.5)):
-    """Per-frame mask patterns sharing one gate and one ratio draw.
+    """Blockwise token masks of one clip sharing one gate and one ratio
+    draw: a (clip_len, num_tokens) bool array, each row flat row-major
+    over the square token grid.
 
     The gate applies to the whole iteration (all frames or none) and the
     shared r keeps K equal across frames, as the cross-frame affinity
@@ -306,9 +276,8 @@ def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
     count = int(round(num_tokens * ratio))
     if count == 0:
         return None
-    return [MaskPattern(_place_blocks(side, count, rng.substream(f"pattern{i}")),
-                        ratio, count)
-            for i in range(clip_len)]
+    return np.stack([_place_blocks(side, count, rng.substream(f"pattern{i}"))
+                     for i in range(clip_len)])
 
 
 # -- pnm i/o and the video store -------------------------------------------------

@@ -48,7 +48,7 @@ from vidcorr.propagation import (
     PropagationConfig,
     propagate_frame,
 )
-from vidcorr.views import MaskPattern, make_frame_pairs, sample_clip_masks
+from vidcorr.views import make_frame_pairs, sample_clip_masks
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -117,14 +117,11 @@ def test_criterion_2_loss_identities(capsys):
         counts_ok &= round(l2g * len(pairs) / hp) == 4 * m_locals * len(pairs)
 
         tokens = 4
-        masks, masked_total = [], 0
-        for i in range(clip_len):
-            count = 1 + i % 2
-            masks.append(MaskPattern(np.arange(tokens) < count,
-                                     count / tokens, count))
-            masked_total += count
+        # frame i masks its first 1 + i % 2 tokens
+        masks = np.arange(tokens) < 1 + np.arange(clip_len)[:, None] % 2
+        masked_total = int(masks.sum())
         grid = np.tile(p, (clip_len, tokens, 1))
-        frame, token = np.nonzero(np.stack([pattern.m for pattern in masks]))
+        frame, token = np.nonzero(masks)
         rows = grid[frame, token]  # the masked rows, as step_losses gathers them
         mim = float(loss_in_mim(Tensor(rows), Tensor(rows.copy()), clip_len).data)
         worst = max(worst, abs(mim - masked_total * hp / clip_len))
@@ -133,9 +130,9 @@ def test_criterion_2_loss_identities(capsys):
         for t in range(clip_len - 1):
             rows = g.normal(size=(4, 8))
             q = l2_normalize_rows(Tensor(rows))
-            aff = build_affinity(q, q, 0.07, t, t + 1)
+            aff = build_affinity(q, q, 0.07)
             affs.append(aff)
-            v = aff.values.data
+            v = aff.data
             expected += float(-(v * np.log(v)).sum())
         aff_loss = float(loss_in_aff(affs, affs).data)
         worst = max(worst, abs(aff_loss - expected / (clip_len - 1)))
@@ -195,28 +192,27 @@ def test_criterion_4_affinity_contracts(capsys):
     structure_ok = True
     for draw in range(1000):
         tokens = 16 if draw % 2 == 0 else 64
-        pattern = sample_clip_masks(tokens, 1, rng.substream(f"draw{draw}"),
-                                    gate_probability=1.0)[0]
-        structure_ok &= 0.1 < pattern.ratio < 0.5
-        structure_ok &= pattern.count == round(tokens * pattern.ratio)
-        structure_ok &= int(pattern.m.sum()) == pattern.count
+        draw_rng = rng.substream(f"draw{draw}")
+        pattern = sample_clip_masks(tokens, 1, draw_rng, gate_probability=1.0)[0]
+        # the ratio r, replayed from the substream the mask draw takes it from
+        ratio = draw_rng.substream("ratio").uniform(0.1, 0.5)
+        k = int(pattern.sum())
+        structure_ok &= 0.1 < ratio < 0.5
+        structure_ok &= k == round(tokens * ratio)
 
-        k = pattern.count
         raw_a = g.normal(size=(k, 8))
         raw_b = g.normal(size=(k, 8))
         temp = (0.04, 0.07, 0.1)[draw % 3]
         aff = build_affinity(l2_normalize_rows(Tensor(raw_a)),
                              l2_normalize_rows(Tensor(raw_b)), temp)
-        structure_ok &= aff.values.shape == (k, k)
-        worst_row = max(worst_row,
-                        float(np.abs(aff.values.data.sum(axis=-1) - 1.0).max()))
+        structure_ok &= aff.shape == (k, k)
+        worst_row = max(worst_row, float(np.abs(aff.data.sum(axis=-1) - 1.0).max()))
 
         scale_a = g.uniform(0.25, 4.0, size=(k, 1))
         scale_b = g.uniform(0.25, 4.0, size=(k, 1))
         rescaled = build_affinity(l2_normalize_rows(Tensor(raw_a * scale_a)),
                                   l2_normalize_rows(Tensor(raw_b * scale_b)), temp)
-        flips += int((aff.values.data.argmax(axis=-1)
-                      != rescaled.values.data.argmax(axis=-1)).sum())
+        flips += int((aff.data.argmax(axis=-1) != rescaled.data.argmax(axis=-1)).sum())
 
     ok = worst_row < 1e-6 and flips == 0 and structure_ok
     verdict(capsys, 4, "affinity contracts", ok,

@@ -79,12 +79,12 @@ def micro_pairs(data, out, **extra):
     return pairs
 
 
-def cropped_pgm(buf, side):
-    """P5 bytes of the top-left side x side corner of a P5 image."""
-    _, dims, _, pixels = buf.split(b"\n", 3)
+def cropped_pnm(buf, side):
+    """P5 or P6 bytes of the top-left side x side corner of such an image."""
+    magic, dims, _, pixels = buf.split(b"\n", 3)
     width, height = map(int, dims.split())
-    corner = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)[:side, :side]
-    return b"P5\n%d %d\n255\n" % (side, side) + corner.tobytes()
+    corner = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, -1)[:side, :side]
+    return magic + b"\n%d %d\n255\n" % (side, side) + corner.tobytes()
 
 
 def tree_digest(root):
@@ -156,6 +156,8 @@ class TestBuildRunConfig:
         {"ema_momentum": -0.1},
         {"loss_mode": "both"},
         {"checkpoint_every": -1},
+        {"epochs": 2, "opt.warmup_epochs": 2},
+        {"opt.warmup_epochs": -1},
     ])
     def test_validation(self, pairs):
         with pytest.raises(ValueError):
@@ -519,6 +521,24 @@ class TestEvaluation:
         assert len(footer) == 5
         assert float(footer[1]) == pytest.approx(scores.j_mean, abs=5e-5)
 
+    def test_scores_only_objects_of_the_first_mask(self, tmp_path):
+        """An object hidden in frame 0 is never propagated, so it is not
+        scored; the first mask here holds ids 2 and 3, later masks 1 too."""
+        g = np.random.default_rng(7)
+        frames = [g.uniform(size=(16, 16, 3)).astype(np.float32) for _ in range(4)]
+        first = np.zeros((16, 16), dtype=np.uint8)
+        first[:8, :8], first[8:, 8:] = 2, 3
+        later = first.copy()
+        later[:4, 12:] = 1
+        write_video_dir(tmp_path, "video_000", frames, [first] + [later] * 3)
+        write_index(tmp_path, ["video_000"])
+        run = build_run_config(micro_pairs(tmp_path, "unused"))
+        params = EncoderParams.init(run.model, Rng(3).substream("init"),
+                                    requires_grad=False)
+        prop = PropagationConfig(top_k=3, context_size=2, radius=4)
+        scores, _ = evaluate(params, run.model, prop, tmp_path)
+        assert [t.object_id for t in scores.tracks] == [2, 3]
+
     def test_eval_needs_masks(self, dataset_root):
         run = build_run_config(micro_pairs(dataset_root, "unused"))
         params = EncoderParams.init(run.model, Rng(3).substream("init"),
@@ -643,6 +663,32 @@ class TestCli:
         assert main(["train"]) == 1  # data is required
         err = capsys.readouterr().err
         assert "usage error" in err
+        # values the config rejects: one epoch under the default single
+        # warmup epoch, and no epochs at all
+        out = tmp_path / "out"
+        for epochs in ("1", "0"):
+            assert main(["train", "--set", f"data={tmp_path}", "--set", f"out={out}",
+                         "--set", f"epochs={epochs}"]) == 1
+            assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_video_shorter_than_clip_exits_2(self, tmp_path, capsys):
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(["gen-data", "--out", str(data), "--frames", "5", "--canvas", "16",
+                     "--train-videos", "2", "--eval-videos", "1"]) == 0
+        # the default clip spans (4 - 1) * 8 + 1 = 25 frames
+        assert main(["train", "--set", f"data={data}", "--set", f"out={out}"]) == 2
+        err = capsys.readouterr().err
+        assert str(data / "train" / "video_000") in err and "clip span 25" in err
+        assert not out.exists()
+
+    def test_empty_training_index_exits_2(self, tmp_path, capsys):
+        data, out = tmp_path / "d", tmp_path / "o"
+        (data / "train").mkdir(parents=True)
+        write_index(data / "train", [])
+        assert main(["train", "--set", f"data={data}", "--set", f"out={out}"]) == 2
+        assert str(data / "train" / "videos.txt") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nothing.ckpt"
@@ -675,10 +721,12 @@ class TestCli:
         ("frame_00003.ppm", lambda buf: buf[:-10]),
         ("mask_00002.pgm", lambda buf: buf.replace(b"\n16 ", b"\nxx ", 1)),
         # 10 px is off the 4-px patch grid; 8 px fits it but not the frame
-        ("mask_00000.pgm", lambda buf: cropped_pgm(buf, 10)),
-        ("mask_00003.pgm", lambda buf: cropped_pgm(buf, 8)),
+        ("mask_00000.pgm", lambda buf: cropped_pnm(buf, 10)),
+        ("mask_00003.pgm", lambda buf: cropped_pnm(buf, 8)),
+        # 12 px fits the patch grid but not the first frame's 16 px
+        ("frame_00003.ppm", lambda buf: cropped_pnm(buf, 12)),
     ], ids=["truncated-frame", "non-integer-mask-header", "first-mask-off-grid",
-            "mask-smaller-than-frame"])
+            "mask-smaller-than-frame", "frame-smaller-than-first"])
     def test_corrupt_video_file_exits_2(self, dataset_root, tmp_path, capsys,
                                         name, damage):
         data = tmp_path / "data"

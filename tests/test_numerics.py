@@ -543,18 +543,18 @@ class TestBackward:
         view = run.view
         gh, gw = run.model.token_grid(view.global_size, view.global_size)
         step = Rng(3).substream("step0")
-        crop_sets, clip_masks = [], []
+        crops, clip_masks = [], []
         for i, source in enumerate(load_store(tmp_path / "train")):
             crng = step.substream(f"clip{i}")
-            clip = sample_clip(source, crng.substream("frames"), view)
-            crop_sets.append(make_crops(clip, crng.substream("crops"), view))
+            frames = sample_clip(source, crng.substream("frames"), view)
+            crops.append(make_crops(frames, crng.substream("crops"), view))
             clip_masks.append(sample_clip_masks(gh * gw, view.clip_len, crng.substream("mask"),
                                                 run.gate_probability, run.mask_ratio))
         student = EncoderParams.init(run.model, Rng(3).substream("init"))
         teacher = TeacherState.from_student(student, run.ema_momentum, run.center_momentum)
 
         def param_grads(backward_fn):
-            total = step_losses(crop_sets, clip_masks, student, teacher, run)[0].total
+            total = step_losses(crops, clip_masks, student, teacher, run)[0].total
             backward_fn(total)
             grads = {name: t.grad for name, t in student.named_parameters()}
             for _, t in student.named_parameters():

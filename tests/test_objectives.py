@@ -24,8 +24,8 @@ from vidcorr.numerics import (
     reshape,
     Tensor,
 )
+import vidcorr.objectives as objectives
 from vidcorr.objectives import (
-    AffinityMatrix,
     LossBreakdown,
     TeacherState,
     TemperatureConfig,
@@ -42,7 +42,7 @@ from vidcorr.objectives import (
     zero_loss,
 )
 from vidcorr.harness import RunConfig, step_losses
-from vidcorr.views import CropRecord, CropSet, MaskPattern, ViewConfig, make_frame_pairs
+from vidcorr.views import ViewConfig, make_frame_pairs
 
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=2, mlp_ratio=2,
              proj_layers=1, proj_dim=6, proj_hidden=12,
@@ -264,19 +264,19 @@ class TestAffinity:
         e = math.e
         expect = np.full((3, 3), 1.0 / (e + 2.0))
         np.fill_diagonal(expect, e / (e + 2.0))
-        np.testing.assert_allclose(aff.values.data, expect, atol=1e-12)
+        np.testing.assert_allclose(aff.data, expect, atol=1e-12)
 
     def test_single_token_is_certain(self):
         aff = build_affinity(Tensor(np.ones((1, 1))), Tensor(np.ones((1, 1))), 0.07)
-        assert aff.values.data[0, 0] == 1.0
+        assert aff.data[0, 0] == 1.0
 
     def test_rows_are_stochastic(self):
         g = np.random.default_rng(16)
         q_a = l2_normalize_rows(Tensor(g.normal(size=(6, 4))))
         q_b = l2_normalize_rows(Tensor(g.normal(size=(6, 4))))
-        aff = build_affinity(q_a, q_b, 0.07, source_index=2, target_index=3)
-        np.testing.assert_allclose(aff.values.data.sum(axis=-1), 1.0, atol=1e-9)
-        assert aff.source_index == 2 and aff.target_index == 3
+        aff = build_affinity(q_a, q_b, 0.07)
+        assert aff.shape == (6, 6)
+        np.testing.assert_allclose(aff.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_temperature_divides_similarities(self):
         root = 1.0 / math.sqrt(2.0)
@@ -286,53 +286,60 @@ class TestAffinity:
         sims = np.array([[root, 1.0], [root, 0.0]]) / 0.5
         expect = np.exp(sims - sims.max(axis=-1, keepdims=True))
         expect /= expect.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(aff.values.data, expect, atol=1e-12)
+        np.testing.assert_allclose(aff.data, expect, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             build_affinity(Tensor(np.eye(3)), Tensor(np.eye(4)), 0.07)
 
-    def test_non_stochastic_values_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            AffinityMatrix(Tensor(np.ones((2, 2))), 0, 1, 0.07)
+    def test_non_stochastic_values_rejected(self, monkeypatch):
+        """Rows summing to 1 +- 4e-5 are refused; 1 + 1e-5 is inside the
+        tolerance."""
+        q = Tensor(np.eye(2))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            AffinityMatrix(Tensor(np.full((2, 3), 1 / 3)), 0, 1, 0.07)
+        def rows_of(entry):
+            monkeypatch.setattr(objectives, "softmax_t",
+                                lambda x, temperature: Tensor(np.full(x.shape, entry)))
+            return build_affinity(q, q, 0.07)
+
+        for entry in (0.5 + 2e-5, 0.5 - 2e-5):
+            with pytest.raises(ValueError, match="sum"):
+                rows_of(entry)
+        assert (rows_of(0.5 + 5e-6).data == 0.5 + 5e-6).all()
 
 
 class TestAffinityLoss:
-    def build(self, rows, temperature, index):
+    def build(self, rows, temperature):
         q = l2_normalize_rows(Tensor(rows))
-        return build_affinity(q, q, temperature, index, index + 1)
+        return build_affinity(q, q, temperature)
 
     def test_equal_matrices_give_row_entropies(self):
         """Uniform K x K rows: each transition contributes K ln K."""
         k = 4
         uniform = Tensor(np.full((k, k), 1.0 / k))
-        mats = [AffinityMatrix(uniform, i, i + 1, 0.07) for i in range(3)]
+        mats = [uniform] * 3
         value = loss_in_aff(mats, mats)
         assert value.data == pytest.approx(k * math.log(k), rel=1e-12)
 
     def test_matches_double_loop(self):
         g = np.random.default_rng(17)
-        teacher = [self.build(g.normal(size=(5, 3)), 0.04, i) for i in range(2)]
-        student = [self.build(g.normal(size=(5, 3)), 0.1, i) for i in range(2)]
-        expect = sum(ce(t.values.data[j], s.values.data[j])
+        teacher = [self.build(g.normal(size=(5, 3)), 0.04) for _ in range(2)]
+        student = [self.build(g.normal(size=(5, 3)), 0.1) for _ in range(2)]
+        expect = sum(ce(t.data[j], s.data[j])
                      for t, s in zip(teacher, student)
                      for j in range(5)) / 2
         value = loss_in_aff(teacher, student)
         assert value.data == pytest.approx(expect, rel=1e-12)
 
     def test_transition_count_mismatch_rejected(self):
-        mat = self.build(np.random.default_rng(18).normal(size=(3, 2)), 0.07, 0)
+        mat = self.build(np.random.default_rng(18).normal(size=(3, 2)), 0.07)
         with pytest.raises(ValueError, match="counts"):
             loss_in_aff([mat, mat], [mat])
 
     def test_size_mismatch_rejected(self):
         g = np.random.default_rng(19)
-        small = self.build(g.normal(size=(3, 2)), 0.07, 0)
-        big = self.build(g.normal(size=(4, 2)), 0.07, 0)
+        small = self.build(g.normal(size=(3, 2)), 0.07)
+        big = self.build(g.normal(size=(4, 2)), 0.07)
         with pytest.raises(ValueError, match="differ"):
             loss_in_aff([small], [big])
 
@@ -487,9 +494,9 @@ class TestCenterUpdate:
 
 def masked_rows(patch, masks):
     """Rows of the masked positions of (L, P, k) patch tensors, frame by
-    frame, as step_losses gathers them."""
+    frame, as step_losses gathers them; masks is (L, P) bool."""
     clip_len, p, k = patch.shape
-    frame, token = np.nonzero(np.stack([pattern.m for pattern in masks]))
+    frame, token = np.nonzero(masks)
     return gather_rows(reshape(patch, (clip_len * p, k)), frame * p + token)
 
 
@@ -498,8 +505,8 @@ def masked_q(patch_logits, masks):
     clip_len, p, k = patch_logits.shape
     flat = reshape(patch_logits, (clip_len * p, k))
     out = []
-    for i, pattern in enumerate(masks):
-        rows = i * p + np.nonzero(pattern.m)[0]
+    for i, frame_mask in enumerate(masks):
+        rows = i * p + np.nonzero(frame_mask)[0]
         out.append(l2_normalize_rows(gather_rows(flat, rows)))
     return out
 
@@ -531,16 +538,16 @@ def pipeline_loss(student, teacher, temps, config, globals_, locals_, masks, pai
         return total_loss(g2g, l2g, zero_loss(), zero_loss())
 
     seq = patchify_batch(globals_, student, config)
-    masked = apply_mask_tokens(seq, np.stack([p.m for p in masks]), student)
+    masked = apply_mask_tokens(seq, masks, student)
     _, s_patch = forward_batch(masked, student, config)
     mim = loss_in_mim(masked_rows(td_patch, masks),
                       masked_rows(student_distribution(s_patch, temps), masks), clip_len)
 
     q_teacher = masked_q(t_patch, masks)
     q_student = masked_q(s_patch, masks)
-    t_aff = [build_affinity(q_teacher[i], q_teacher[i + 1], temps.teacher, i, i + 1)
+    t_aff = [build_affinity(q_teacher[i], q_teacher[i + 1], temps.teacher)
              for i in range(clip_len - 1)]
-    s_aff = [build_affinity(q_student[i], q_student[i + 1], temps.student, i, i + 1)
+    s_aff = [build_affinity(q_student[i], q_student[i + 1], temps.student)
              for i in range(clip_len - 1)]
     aff = loss_in_aff(t_aff, s_aff)
     return total_loss(g2g, l2g, mim, aff)
@@ -554,8 +561,7 @@ class TestEndToEnd:
         g = np.random.default_rng(41)
         self.globals_ = g.uniform(size=(2, 4, 4, 3))
         self.locals_ = g.uniform(size=(2, 4, 4, 3))
-        self.masks = [MaskPattern(np.array([1, 0, 0, 1], dtype=bool), 0.5, 2),
-                      MaskPattern(np.array([0, 1, 1, 0], dtype=bool), 0.5, 2)]
+        self.masks = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=bool)
         self.pairs = [(0, 1)]
 
     def total(self):
@@ -608,23 +614,25 @@ class TestEndToEnd:
         assert report.max_rel_error < 1e-4, f"{name}: {report.max_rel_error:.3e}"
 
 
-def crop_set(g, clip_len, m, global_size, local_size):
-    def record(size):
-        return CropRecord(g.uniform(size=(size, size, 3)), None, False, None)
-    return CropSet([record(global_size) for _ in range(clip_len)],
-                   [[record(local_size) for _ in range(m)] for _ in range(clip_len)])
+def clip_crops(g, clip_len, m, global_size, local_size):
+    """Random (global, local) crop stacks of one clip, as make_crops
+    shapes them."""
+    return (g.uniform(size=(clip_len, global_size, global_size, 3)),
+            g.uniform(size=(clip_len * m, local_size, local_size, 3)))
 
 
-def pattern(positions, tokens=9):
-    bits = np.zeros(tokens, dtype=bool)
-    bits[list(positions)] = True
-    return MaskPattern(bits, len(positions) / tokens, len(positions))
+def clip_masks(*frames, tokens=9):
+    """(L, tokens) bool masks with the given masked positions per frame."""
+    masks = np.zeros((len(frames), tokens), dtype=bool)
+    for i, positions in enumerate(frames):
+        masks[i, list(positions)] = True
+    return masks
 
 
-# per clip one MaskPattern per frame (clip_len 2), or None when the gate is off;
-# the gated clips mask K = 2 and K = 3 of 9 tokens
-GATED_K2 = [pattern([0, 4]), pattern([5, 8])]
-GATED_K3 = [pattern([1, 2, 7]), pattern([0, 3, 6])]
+# per clip a (2, 9) mask (clip_len 2), or None when the gate is off; the
+# gated clips mask K = 2 and K = 3 of 9 tokens
+GATED_K2 = clip_masks([0, 4], [5, 8])
+GATED_K3 = clip_masks([1, 2, 7], [0, 3, 6])
 
 
 class TestStepLosses:
@@ -642,36 +650,33 @@ class TestStepLosses:
         self.run = RunConfig(view=ViewConfig(clip_len=2, locals_per_frame=2),
                              model=self.config)
         # 6x6 globals give a 3x3 token grid; 4x4 locals a 2x2 one
-        self.crop_sets = [crop_set(g, 2, 2, 6, 4) for _ in range(3)]
+        self.crops = [clip_crops(g, 2, 2, 6, 4) for _ in range(3)]
 
-    def reference(self, student, crop_sets, clip_masks):
+    def reference(self, student, crops, masks_per_clip):
         """Batch mean of pipeline_loss's per-clip terms."""
         terms = np.zeros(5)
-        for cs, masks in zip(crop_sets, clip_masks):
-            breakdown = pipeline_loss(
-                student, self.teacher, self.run.temp, self.config,
-                np.stack([r.image for r in cs.globals_]),
-                np.stack([r.image for per_frame in cs.locals_ for r in per_frame]),
-                masks, make_frame_pairs(2))
+        for (globals_, locals_), masks in zip(crops, masks_per_clip):
+            breakdown = pipeline_loss(student, self.teacher, self.run.temp, self.config,
+                                      globals_, locals_, masks, make_frame_pairs(2))
             terms += breakdown.floats()
-        return terms / len(crop_sets)
+        return terms / len(crops)
 
-    @pytest.mark.parametrize("clip_masks", [
+    @pytest.mark.parametrize("masks_per_clip", [
         [GATED_K2, GATED_K3],
         [GATED_K3, None, GATED_K2],
         [None, None],
     ], ids=["two-gated", "gate-off-between", "all-gate-off"])
-    def test_terms_match_all_rows_reference(self, clip_masks):
-        crop_sets = self.crop_sets[:len(clip_masks)]
-        breakdown, t_cls, t_patch = step_losses(crop_sets, clip_masks, self.student,
+    def test_terms_match_all_rows_reference(self, masks_per_clip):
+        crops = self.crops[:len(masks_per_clip)]
+        breakdown, t_cls, t_patch = step_losses(crops, masks_per_clip, self.student,
                                                 self.teacher, self.run)
-        expected = self.reference(self.student, crop_sets, clip_masks)
+        expected = self.reference(self.student, crops, masks_per_clip)
         np.testing.assert_allclose(breakdown.floats(), expected, rtol=1e-12, atol=0)
-        gated = any(m is not None for m in clip_masks)
+        gated = any(m is not None for m in masks_per_clip)
         assert (breakdown.in_mim.data > 0) == gated
         assert (breakdown.in_aff.data > 0) == gated
-        assert t_cls.shape == (2 * len(clip_masks), self.config.proj_dim)
-        assert t_patch.shape == (2 * len(clip_masks), 9, self.config.proj_dim)
+        assert t_cls.shape == (2 * len(masks_per_clip), self.config.proj_dim)
+        assert t_patch.shape == (2 * len(masks_per_clip), 9, self.config.proj_dim)
 
     @pytest.mark.parametrize("name", ["head/out_weight", "mask_token"])
     def test_total_gradient_fidelity(self, name):
@@ -679,13 +684,13 @@ class TestStepLosses:
         at 1e-4, with two gated clips of different K and one gate-off."""
         base = dict(self.student.named_parameters())
         shape = base[name].shape
-        clip_masks = [GATED_K2, None, GATED_K3]
+        masks_per_clip = [GATED_K2, None, GATED_K3]
 
         def f(flat):
             tensors = {n: (reshape(flat, shape) if n == name else t)
                        for n, t in base.items()}
             candidate = EncoderParams(self.config, tensors)
-            return step_losses(self.crop_sets, clip_masks, candidate, self.teacher,
+            return step_losses(self.crops, masks_per_clip, candidate, self.teacher,
                                self.run)[0].total
 
         probe = Tensor(base[name].data.reshape(-1).copy(), name=name)

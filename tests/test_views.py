@@ -6,11 +6,9 @@ from scipy import ndimage
 
 from vidcorr.numerics import Rng, bilinear_resize
 from vidcorr.views import (
-    CropSet,
-    MaskPattern,
-    VideoClip,
     VideoSource,
     ViewConfig,
+    _crop_picks,
     _render_crops,
     load_store,
     make_crops,
@@ -84,59 +82,64 @@ class TestFramePairs:
             assert all(b - a == clip_len // 2 for a, b in pairs)
 
 
+def indexed_video(n_frames):
+    """Tiny frames, each filled with its own index."""
+    return [np.full((2, 2, 3), i, dtype=np.float32) for i in range(n_frames)]
+
+
+def frame_indices(frames):
+    """Source indices of frames taken from an indexed_video."""
+    return [int(frame[0, 0, 0]) for frame in frames]
+
+
 class TestSampleClip:
     """Strided clip extraction."""
 
     def test_spacing_and_start_bound(self):
-        video = toy_video(100)
+        video = indexed_video(100)
         cfg = ViewConfig(clip_len=4, frameskip=8)
         for seed in range(30):
-            clip = sample_clip(video, Rng(seed), cfg)
-            assert len(clip.frames) == 4
-            diffs = np.diff(clip.frame_indices)
-            assert (diffs == 8).all()
-            assert 0 <= clip.frame_indices[0] <= 75
+            frames = sample_clip(video, Rng(seed), cfg)
+            assert len(frames) == 4
+            indices = frame_indices(frames)
+            assert (np.diff(indices) == 8).all()
+            assert 0 <= indices[0] <= 75
 
     def test_exact_length_forces_start_zero(self):
-        video = toy_video(25)
-        clip = sample_clip(video, Rng(3), ViewConfig(clip_len=4, frameskip=8))
-        assert clip.frame_indices == [0, 8, 16, 24]
+        frames = sample_clip(indexed_video(25), Rng(3), ViewConfig(clip_len=4, frameskip=8))
+        assert frame_indices(frames) == [0, 8, 16, 24]
 
     def test_deterministic_under_seed(self):
         video = toy_video(60)
         cfg = ViewConfig(clip_len=4, frameskip=8)
         a = sample_clip(video, Rng(11), cfg)
         b = sample_clip(video, Rng(11), cfg)
-        assert a.frame_indices == b.frame_indices
-        assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             sample_clip(toy_video(24), Rng(0), ViewConfig(clip_len=4, frameskip=8))
 
-    def test_odd_clip_rejected(self):
-        with pytest.raises(ValueError):
-            VideoClip(toy_video(3), "x", [0, 1, 2])
-
 
 class TestMakeCrops:
-    """Random resized crops with recorded geometry."""
+    """Random resized crops: the draws of _crop_picks, rendered by
+    make_crops into one stack per family."""
 
     def test_counts_and_sizes(self):
-        clip = sample_clip(toy_video(40, seed=1), Rng(0), ViewConfig())
-        crops = make_crops(clip, Rng(1), ViewConfig())
-        assert len(crops.globals_) == 4
-        assert sum(len(row) for row in crops.locals_) == 32
-        assert all(g.image.shape == (64, 64, 3) for g in crops.globals_)
-        assert all(c.image.shape == (32, 32, 3) for row in crops.locals_ for c in row)
+        frames = sample_clip(toy_video(40, seed=1), Rng(0), ViewConfig())
+        globals_, locals_ = make_crops(frames, Rng(1), ViewConfig())
+        assert globals_.shape == (4, 64, 64, 3)
+        assert locals_.shape == (32, 32, 32, 3)
+        global_picks, local_picks = _crop_picks(frames, Rng(1), ViewConfig())
+        assert [p[0] for p in global_picks] == [0, 1, 2, 3]
+        assert [p[0] for p in local_picks] == [i for i in range(4) for _ in range(8)]
 
     def test_rects_inside_frame(self):
         cfg = ViewConfig(locals_per_frame=4)
-        clip = sample_clip(toy_video(40, h=36, w=52, seed=2), Rng(0), cfg)
+        frames = sample_clip(toy_video(40, h=36, w=52, seed=2), Rng(0), cfg)
         for seed in range(10):
-            crops = make_crops(clip, Rng(seed), cfg)
-            for rec in crops.globals_ + [c for row in crops.locals_ for c in row]:
-                y, x, h, w = rec.rect
+            global_picks, local_picks = _crop_picks(frames, Rng(seed), cfg)
+            for _, (y, x, h, w), _, _ in global_picks + local_picks:
                 assert y >= 0 and x >= 0 and h >= 1 and w >= 1
                 assert y + h <= 36 and x + w <= 52
 
@@ -144,68 +147,66 @@ class TestMakeCrops:
         """Scales pinned at 1 and no augmentation -> pure resizes."""
         cfg = ViewConfig(local_scale=(1.0, 1.0), global_scale=(1.0, 1.0),
                          flip_jitter_target="none", locals_per_frame=2)
-        clip = sample_clip(toy_video(40, h=32, w=32, seed=3), Rng(5), cfg)
-        crops = make_crops(clip, Rng(6), cfg)
-        for i, rec in enumerate(crops.globals_):
-            assert rec.rect == (0, 0, 32, 32)
-            assert not rec.flipped and rec.jitter is None
-            assert np.array_equal(rec.image, np.clip(
-                bilinear_resize(clip.frames[i], (64, 64)), 0.0, 1.0))
+        frames = sample_clip(toy_video(40, h=32, w=32, seed=3), Rng(5), cfg)
+        global_picks, _ = _crop_picks(frames, Rng(6), cfg)
+        globals_, _ = make_crops(frames, Rng(6), cfg)
+        for i, (_, rect, flipped, jitter) in enumerate(global_picks):
+            assert rect == (0, 0, 32, 32)
+            assert not flipped and jitter is None
+            assert np.array_equal(globals_[i], np.clip(
+                bilinear_resize(frames[i], (64, 64)), 0.0, 1.0))
 
     def test_globals_independent_of_jitter_stream(self):
         """Default locals-only F&C: globals bitwise match a no-jitter run."""
-        clip = sample_clip(toy_video(40, seed=4), Rng(7), ViewConfig())
-        with_fc = make_crops(clip, Rng(8), ViewConfig())
-        without = make_crops(clip, Rng(8), ViewConfig(flip_jitter_target="none"))
-        for a, b in zip(with_fc.globals_, without.globals_):
-            assert np.array_equal(a.image, b.image)
-            assert a.rect == b.rect
-        # and local geometry matches too, only rendering differs
-        for row_a, row_b in zip(with_fc.locals_, without.locals_):
-            for a, b in zip(row_a, row_b):
-                assert a.rect == b.rect
+        frames = sample_clip(toy_video(40, seed=4), Rng(7), ViewConfig())
+        plain = ViewConfig(flip_jitter_target="none")
+        assert np.array_equal(make_crops(frames, Rng(8), ViewConfig())[0],
+                              make_crops(frames, Rng(8), plain)[0])
+        # the whole geometry matches too, only the locals' augmentation differs
+        with_fc = _crop_picks(frames, Rng(8), ViewConfig())
+        without = _crop_picks(frames, Rng(8), plain)
+        for picks_a, picks_b in zip(with_fc, without):
+            assert [p[:2] for p in picks_a] == [p[:2] for p in picks_b]
 
     def test_default_globals_carry_no_augmentation(self):
-        clip = sample_clip(toy_video(40, seed=5), Rng(9), ViewConfig())
-        crops = make_crops(clip, Rng(10), ViewConfig())
-        assert all(not g.flipped and g.jitter is None for g in crops.globals_)
-        flips = [c.flipped for row in crops.locals_ for c in row]
+        frames = sample_clip(toy_video(40, seed=5), Rng(9), ViewConfig())
+        global_picks, local_picks = _crop_picks(frames, Rng(10), ViewConfig())
+        assert all(not flipped and jitter is None for _, _, flipped, jitter in global_picks)
+        flips = [flipped for _, _, flipped, _ in local_picks]
         assert any(flips) and not all(flips)
-        assert all(c.jitter is not None for row in crops.locals_ for c in row)
+        assert all(jitter is not None for _, _, _, jitter in local_picks)
 
     def test_replay_is_bitwise(self):
+        """Each crop of the stacks is its own draw rendered alone."""
         cfg = ViewConfig(locals_per_frame=3)
-        clip = sample_clip(toy_video(40, seed=6), Rng(11), cfg)
-        crops = make_crops(clip, Rng(12), cfg)
-        for i, frame in enumerate(clip.frames):
-            records = [(crops.globals_[i], cfg.global_size)]
-            records += [(rec, cfg.local_size) for rec in crops.locals_[i]]
-            for rec, size in records:
-                again = _render_crops([frame], [(0, rec.rect, rec.flipped, rec.jitter)],
-                                      size)[0]
-                assert np.array_equal(again, rec.image)
+        frames = sample_clip(toy_video(40, seed=6), Rng(11), cfg)
+        stacks = make_crops(frames, Rng(12), cfg)
+        picks = _crop_picks(frames, Rng(12), cfg)
+        for stack, family, size in zip(stacks, picks, (cfg.global_size, cfg.local_size)):
+            assert len(stack) == len(family)
+            for image, (i, rect, flipped, jitter) in zip(stack, family):
+                again = _render_crops([frames[i]], [(0, rect, flipped, jitter)], size)[0]
+                assert np.array_equal(again, image)
 
     def test_jitter_formula(self):
-        """Recorded factors reproduce the crop through the documented
+        """Drawn factors reproduce the crop through the documented
         brightness -> contrast -> saturation pipeline."""
         luma = np.array([0.299, 0.587, 0.114])
         cfg = ViewConfig(locals_per_frame=2)
-        clip = sample_clip(toy_video(40, seed=7), Rng(13), cfg)
-        crops = make_crops(clip, Rng(14), cfg)
-        rec = crops.locals_[0][0]
-        y, x, h, w = rec.rect
-        base = bilinear_resize(clip.frames[0][y:y + h, x:x + w, :],
+        frames = sample_clip(toy_video(40, seed=7), Rng(13), cfg)
+        _, (y, x, h, w), flipped, (b, c, s) = _crop_picks(frames, Rng(14), cfg)[1][0]
+        image = make_crops(frames, Rng(14), cfg)[1][0]
+        base = bilinear_resize(frames[0][y:y + h, x:x + w, :],
                                (cfg.local_size, cfg.local_size))
-        if rec.flipped:
+        if flipped:
             base = base[:, ::-1, :].copy()
-        b, c, s = rec.jitter
         out = base * b
         mean = out.mean()
         out = mean + (out - mean) * c
         gray = out @ luma
         out = gray[:, :, None] + (out - gray[:, :, None]) * s
         out = np.clip(out, 0.0, 1.0)
-        assert np.array_equal(np.clip(out, 0.0, 1.0), rec.image)
+        assert np.array_equal(np.clip(out, 0.0, 1.0), image)
 
 
 def reference_crop(frame, rect, size, flipped, jitter):
@@ -246,10 +247,22 @@ class TestRenderCrops:
         assert {(p[2], p[3] is None) for p in picks} == {(a, b) for a in (0, 1) for b in (0, 1)}
         assert min(p[1][2] for p in picks) < size < max(p[1][2] for p in picks)
         images = _render_crops(frames, picks, size)
+        assert images.dtype == np.float64  # some crops are jittered
         for (i, rect, flipped, jitter), image in zip(picks, images):
             want = reference_crop(frames[i], rect, size, flipped, jitter)
-            assert image.dtype == want.dtype
             assert np.array_equal(image, want), (rect, flipped, jitter)
+        # without jitter the crops keep the frames' dtype
+        plain = [p for p in picks if p[3] is None]
+        images = _render_crops(frames, plain, size)
+        assert images.dtype == np.float32
+        for (i, rect, flipped, _), image in zip(plain, images):
+            assert np.array_equal(image, reference_crop(frames[i], rect, size, flipped, None))
+
+
+def drawn_ratio(rng, r_range=(0.1, 0.5)):
+    """The mask ratio r that sample_clip_masks draws from ``rng``: its
+    "ratio" substream, as the function draws it."""
+    return float(rng.substream("ratio").uniform(r_range[0], r_range[1]))
 
 
 class TestSampleMask:
@@ -268,16 +281,16 @@ class TestSampleMask:
 
     def test_exact_count_every_draw(self):
         for seed in range(50):
-            pattern = sample_clip_masks(64, 1, Rng(seed), gate_probability=1.0)[0]
-            assert pattern.m.sum() == pattern.count
-            assert pattern.count == int(round(64 * pattern.ratio))
-            assert pattern.m.shape == (64,)
+            masks = sample_clip_masks(64, 1, Rng(seed), gate_probability=1.0)
+            assert masks.shape == (1, 64) and masks.dtype == bool
+            assert masks.sum() == int(round(64 * drawn_ratio(Rng(seed))))
 
     def test_ratio_mean_near_channel_center(self):
-        """Mean of r over many draws sits near 0.3."""
+        """The masked fraction K / P over many draws sits near the mean
+        r of 0.3."""
         total = 0.0
         for seed in range(10_000):
-            total += sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0)[0].ratio
+            total += sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0).mean()
         assert abs(total / 10_000 - 0.3) < 0.01
 
     def test_half_ratio_is_blockwise(self):
@@ -285,11 +298,11 @@ class TestSampleMask:
         pattern = None
         for seed in range(100):
             cand = sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0, r_range=(0.5, 0.5))
-            if cand is not None and cand[0].count == 8:
+            if cand is not None and cand.sum() == 8:
                 pattern = cand[0]
                 break
         assert pattern is not None
-        grid = pattern.m.reshape(4, 4)
+        grid = pattern.reshape(4, 4)
         components, n = ndimage.label(grid)
         assert n < 8  # big blocks, not 8 scattered cells
 
@@ -297,7 +310,7 @@ class TestSampleMask:
         """Greedy maximal-rectangle peeling covers the mask in far fewer
         rectangles than cells."""
         pattern = sample_clip_masks(64, 1, Rng(3), gate_probability=1.0, r_range=(0.4, 0.5))[0]
-        grid = pattern.m.reshape(8, 8).copy()
+        grid = pattern.reshape(8, 8).copy()
         rects = 0
         while grid.any():
             ys, xs = np.nonzero(grid)
@@ -310,16 +323,16 @@ class TestSampleMask:
                 h += 1
             grid[y0:y0 + h, x0:x0 + w] = False
             rects += 1
-        assert rects < pattern.count // 2
+        assert rects < pattern.sum() // 2
 
     def test_non_square_grid_rejected(self):
         with pytest.raises(ValueError):
             sample_clip_masks(15, 1, Rng(0))
 
     def test_deterministic(self):
-        a = sample_clip_masks(64, 1, Rng(21), gate_probability=1.0)[0]
-        b = sample_clip_masks(64, 1, Rng(21), gate_probability=1.0)[0]
-        assert np.array_equal(a.m, b.m) and a.ratio == b.ratio
+        a = sample_clip_masks(64, 4, Rng(21), gate_probability=1.0)
+        b = sample_clip_masks(64, 4, Rng(21), gate_probability=1.0)
+        assert np.array_equal(a, b)
 
     def test_zero_count_returns_none(self):
         """K = round(P * r) = 0 skips the masked losses, as for a clip."""
@@ -336,11 +349,9 @@ class TestClipMasks:
             masks = sample_clip_masks(64, 4, Rng(seed), gate_probability=1.0)
             if masks is not None:
                 break
-        assert masks is not None and len(masks) == 4
-        counts = {p.count for p in masks}
-        ratios = {p.ratio for p in masks}
-        assert len(counts) == 1 and len(ratios) == 1
-        patterns = {p.m.tobytes() for p in masks}
+        assert masks is not None and masks.shape == (4, 64)
+        assert len(set(masks.sum(axis=1))) == 1
+        patterns = {row.tobytes() for row in masks}
         assert len(patterns) > 1  # independent layouts
 
     def test_gate_off_skips_whole_clip(self):
@@ -398,7 +409,8 @@ class TestPnmStore:
         assert store[0].has_masks and not store[1].has_masks
         assert np.array_equal(store[0].mask(2), masks[2])
         clip = sample_clip(store[0], Rng(0), ViewConfig(clip_len=2, frameskip=1))
-        assert clip.source_id == "vid_a"
+        assert any(all(np.array_equal(frame, store[0][start + j]) for j, frame in enumerate(clip))
+                   for start in range(5))
 
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
