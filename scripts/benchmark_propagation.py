@@ -1,7 +1,8 @@
 """Best-of-N milliseconds per propagated frame at 8x8 (radius 40, the
-whole grid), 16x16 and 28x28 (radius 12), with 11 context frames, d=64
-and top_k 5, each checked bitwise against the brute-force reference on
-sampled cells. Run from the repository root:
+whole grid), 16x16 and 28x28 (radius 12) at d=64, and at 16x16 radius 4
+at d=32 (the windowed propagation of the benchmark's infer workload),
+with 11 context frames and top_k 5, each checked bitwise against the
+brute-force reference on sampled cells. Run from the repository root:
 
     python scripts/benchmark_propagation.py
     python scripts/benchmark_propagation.py --repeats 20 --seed 3
@@ -25,13 +26,13 @@ from vidcorr.propagation import (  # noqa: E402
     propagate_frame,
 )
 
-GRIDS = ((8, 40), (16, 12), (28, 12))
-FRAMES, DIM, TOP_K, CLASSES, CHECKED_CELLS = 11, 64, 5, 4, 16
+GRIDS = ((8, 40, 64), (16, 12, 64), (28, 12, 64), (16, 4, 32))  # (side, radius, d)
+FRAMES, TOP_K, CLASSES, CHECKED_CELLS = 11, 5, 4, 16
 
 
-def make_instance(rng, side):
+def make_instance(rng, side, dim):
     def unit_grid():
-        z = rng.normal(size=(side, side, DIM))
+        z = rng.normal(size=(side, side, dim))
         return z / np.sqrt((z * z).sum(axis=-1, keepdims=True))
 
     target = FeatureMap(unit_grid())
@@ -63,10 +64,10 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"frames={FRAMES} d={DIM} top_k={TOP_K} repeats={args.repeats}")
+    print(f"frames={FRAMES} top_k={TOP_K} repeats={args.repeats}")
     failed = False
-    for side, radius in GRIDS:
-        target, context = make_instance(rng, side)
+    for side, radius, dim in GRIDS:
+        target, context = make_instance(rng, side, dim)
         config = PropagationConfig(top_k=TOP_K, radius=radius)
         best = float("inf")
         for _ in range(args.repeats):
@@ -76,7 +77,7 @@ def main():
         bad = mismatches(rng, out, target, context, config)
         failed |= bad > 0
         check = "bitwise" if bad == 0 else f"{bad}/{CHECKED_CELLS} cells DIFFER"
-        print(f"{side:>2}x{side:<2} r{radius:<3} {best * 1e3:8.2f} ms/frame  {check}")
+        print(f"{side:>2}x{side:<2} r{radius:<3} d{dim:<3} {best * 1e3:8.2f} ms/frame  {check}")
     return 1 if failed else 0
 
 

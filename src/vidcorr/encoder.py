@@ -374,13 +374,18 @@ def forward_batch(seq, params, config, rows=None):
     return cls_logits, narrow(logits, 1, 1, seq.num_patches)
 
 
-def extract_inference_features(image, params, config):
-    """Patch-token activations of one (H, W, 3) image after block
-    ``inference_layer``, on the token grid, l2-normalized per position;
-    (h_tok, w_tok, D). Runs outside the autodiff graph."""
+def extract_inference_features(images, params, config):
+    """Patch-token activations after block ``inference_layer``, on the
+    token grid, l2-normalized per position: (h_tok, w_tok, D) for one
+    (H, W, 3) image, (B, h_tok, w_tok, D) for a (B, H, W, 3) stack. The
+    stack goes through one forward, and each of its images gets the same
+    bits as alone. Runs outside the autodiff graph."""
+    images = np.asarray(images)
+    single = images.ndim == 3
     with no_grad():
-        seq = patchify_batch([image], params, config)
+        seq = patchify_batch(images[None] if single else images, params, config)
         x = _run_blocks(seq, params, config, config.inference_layer)
         h, w = seq.grid
-        flat = reshape(narrow(x, 1, 1, h * w), (h * w, config.embed_dim))
-        return reshape(l2_normalize_rows(flat), (h, w, config.embed_dim))
+        flat = reshape(narrow(x, 1, 1, h * w), (seq.batch * h * w, config.embed_dim))
+        shape = (h, w, config.embed_dim)
+        return reshape(l2_normalize_rows(flat), shape if single else (seq.batch,) + shape)

@@ -55,6 +55,7 @@ from vidcorr.optimizer import (
     OptimizerConfig,
     OptState,
     adamw_step,
+    check_knobs,
     lr_at,
     wd_at,
 )
@@ -118,9 +119,7 @@ class RunConfig:
         self.prop = self.prop or PropagationConfig()
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be positive")
-        if not 0 <= self.opt.warmup_epochs < self.epochs:
-            raise ValueError(f"opt.warmup_epochs {self.opt.warmup_epochs} must lie "
-                             f"in [0, epochs {self.epochs})")
+        check_knobs(self.opt, self.epochs, (self.opt.beta1, self.opt.beta2))
         if not 0.0 <= self.gate_probability <= 1.0:
             raise ValueError("gate_probability must lie in [0, 1]")
         if not 0.0 <= self.ema_momentum <= 1.0:
@@ -606,21 +605,36 @@ def _frame_mask(source, i, frame_shape):
     return mask
 
 
+# Most tokens one inference forward takes: frames of a video go through
+# the encoder in stacks of as many as fit (at least one), which saves
+# per-call work on small frames, while the (heads, N, N) attention
+# scores of large ones stay in cache.
+_FEATURE_TOKENS = 256
+
+
 def predict_masks(source, params, model_config, prop_config):
     """Object-id masks for every frame of a VideoSource, propagated from
-    its first-frame mask over the encoder's inference features."""
+    its first-frame mask over the encoder's inference features. The
+    frames are encoded in stacks of at most _FEATURE_TOKENS tokens,
+    which gives each frame the same bits as encoding it alone."""
     if not source.has_masks:
         raise ValueError(f"{source.directory} carries no first-frame mask")
     first = source[0]
+    grid = model_config.token_grid(*first.shape[:2])
+    per_forward = max(1, _FEATURE_TOKENS // (1 + grid[0] * grid[1]))
     features = []
-    for i in range(len(source)):
-        frame = source[i] if i else first
-        if frame.shape != first.shape:
-            raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
-                             f"differs from the first frame's {first.shape[:2]}")
-        features.append(extract_inference_features(frame, params, model_config).data)
+    for start in range(0, len(source), per_forward):
+        frames = []
+        for i in range(start, min(start + per_forward, len(source))):
+            frame = source[i] if i else first
+            if frame.shape != first.shape:
+                raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
+                                 f"differs from the first frame's {first.shape[:2]}")
+            frames.append(frame)
+        features.extend(extract_inference_features(np.stack(frames), params,
+                                                   model_config).data)
     # the token grid covers the frame exactly (token_grid rejects the rest)
-    frame_shape = tuple(n * model_config.patch_size for n in features[0].shape[:2])
+    frame_shape = (grid[0] * model_config.patch_size, grid[1] * model_config.patch_size)
     label_maps = propagate_video(features, _frame_mask(source, 0, frame_shape), prop_config)
     return [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
 

@@ -20,6 +20,21 @@ log = logging.getLogger(__name__)
 DECAY_EXEMPT_NAMES = ("cls_token", "mask_token")
 
 
+def check_knobs(knobs, total_epochs, betas):
+    """The checks every optimizer setting passes, for an OptimizerConfig
+    and for the run config's opt.* section alike: warmup_epochs in
+    [0, total_epochs), positive rates and both betas in [0, 1)."""
+    if not 0 <= knobs.warmup_epochs < total_epochs:
+        raise ValueError(f"warmup_epochs {knobs.warmup_epochs} must lie in "
+                         f"[0, epochs {total_epochs})")
+    bad = [name for name in ("lr_scale_constant", "lr_floor_fraction", "wd_start",
+                             "wd_end", "eps") if not getattr(knobs, name) > 0]
+    if bad:
+        raise ValueError(f"rates must be positive: {', '.join(bad)}")
+    if not all(0 <= b < 1 for b in betas):
+        raise ValueError(f"betas {betas} must lie in [0, 1)")
+
+
 @dataclass
 class OptimizerConfig:
     batch_size: int
@@ -38,15 +53,7 @@ class OptimizerConfig:
         if min(self.batch_size, self.clip_len, self.steps_per_epoch,
                self.total_epochs) <= 0:
             raise ValueError("batch, clip length, steps and epochs must be positive")
-        if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ValueError(
-                f"warmup {self.warmup_epochs} must stay below total {self.total_epochs}")
-        if min(self.lr_scale_constant, self.lr_floor_fraction,
-               self.wd_start, self.wd_end, self.eps) <= 0:
-            raise ValueError("all rates must be positive")
-        b1, b2 = self.betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError(f"betas {self.betas} must lie in [0, 1)")
+        check_knobs(self, self.total_epochs, self.betas)
 
     @property
     def warmup_steps(self):

@@ -161,7 +161,14 @@ def _survivors(target, context, radius, top_k):
     Algorithms, 3.1), so every top_k member sits within twice that of the
     k-th largest approximate value. The margin takes gamma for d + 2
     terms, which also covers rounding in the norms, the margin itself and
-    the subtraction from the k-th value."""
+    the subtraction from the k-th value.
+
+    Each tile's product covers the context rows of its band. Where a
+    target's (2r+1)^2 window is at most three quarters of that band (a
+    small radius), each target's window entries are gathered into one
+    row and only they are ranked (_window_survivors); otherwise the band
+    is ranked whole, with out-of-window entries at -inf. Both rank the
+    same values with the same filter, so they keep the same pairs."""
     n, h, w, d = context.shape
     flat_target = target.reshape(h * w, d)
     u = 2.0 ** -53
@@ -172,26 +179,69 @@ def _survivors(target, context, radius, top_k):
     margin = 4.0 * gamma * t_norm * c_norm
 
     rows = _rows_per_tile(h, w, n, radius)
+    side = 2 * radius + 1
     x_near = np.abs(np.arange(w)[:, None] - np.arange(w)[None, :]) <= radius
     cells, sources = [], []
     for y0 in range(0, h, rows):
         y1 = min(y0 + rows, h)
         lo, hi = max(y0 - radius, 0), min(y1 - 1 + radius, h - 1) + 1
         band = (hi - lo) * w
-        # (context cell in band, target cell in tile), one block per frame
-        sims = np.matmul(context[:, lo:hi].reshape(n, band, d),
-                         flat_target[y0 * w:y1 * w].T)
-        y_near = np.abs(np.arange(lo, hi)[:, None] - np.arange(y0, y1)[None, :]) <= radius
-        near = (y_near[:, None, :, None] & x_near[None, :, None, :]).reshape(band, -1)
-        np.copyto(sims, -np.inf, where=~near)
-        sims = sims.reshape(n * band, -1)
-        kk = min(top_k, n * band)
-        kth = np.partition(sims, n * band - kk, axis=0)[n * band - kk]
-        keep = (sims >= kth - margin) & (sims > -np.inf)
-        col, cell = np.nonzero(keep)
+        band_context = context[:, lo:hi].reshape(n, band, d)
+        tile_target = flat_target[y0 * w:y1 * w]
+        if 4 * side * side <= 3 * band:
+            cell, source = _window_survivors(band_context, tile_target, y0, lo, h, w,
+                                             radius, top_k, margin)
+        else:
+            # (context cell in band, target cell in tile), one block per frame
+            sims = np.matmul(band_context, tile_target.T)
+            y_near = np.abs(np.arange(lo, hi)[:, None] - np.arange(y0, y1)[None, :]) <= radius
+            near = (y_near[:, None, :, None] & x_near[None, :, None, :]).reshape(band, -1)
+            np.copyto(sims, -np.inf, where=~near)
+            sims = sims.reshape(n * band, -1)
+            kk = min(top_k, n * band)
+            kth = np.partition(sims, n * band - kk, axis=0)[n * band - kk]
+            keep = (sims >= kth - margin) & (sims > -np.inf)
+            col, cell = np.divmod(np.flatnonzero(keep), len(tile_target))
+            source = (col // band) * (h * w) + lo * w + col % band
         cells.append(y0 * w + cell)
-        sources.append((col // band) * (h * w) + lo * w + col % band)
+        sources.append(source)
     return np.concatenate(cells), np.concatenate(sources)
+
+
+def _window_survivors(band_context, tile_target, y0, lo, h, w, radius, top_k, margin):
+    """_survivors for one tile, ranked over each target's window only:
+    (target cell in tile, flat context index) pairs.
+
+    The tile's band product is laid out as in _survivors, each frame's
+    block followed by one -inf. Each target's (frame, window slot)
+    entries are gathered into one row, slots outside the grid pointing
+    at the -inf, so the k-th value and the filter run along rows of
+    n*(2r+1)^2 entries rather than columns of the whole band."""
+    n, band, _ = band_context.shape
+    tile = len(tile_target)
+    block = band * tile + 1
+    product = np.empty((n, block))
+    product[:, -1] = -np.inf
+    np.matmul(band_context, tile_target.T, out=product[:, :-1].reshape(n, band, tile))
+
+    side = 2 * radius + 1
+    dy, dx = np.divmod(np.arange(side * side), side)
+    ty, tx = np.divmod(np.arange(y0 * w, y0 * w + tile), w)
+    cy = ty[:, None] + (dy - radius)
+    cx = tx[:, None] + (dx - radius)
+    grid_cell = cy * w + cx
+    inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+    at = np.where(inside, (grid_cell - lo * w) * tile + np.arange(tile)[:, None], block - 1)
+    slots = product.reshape(-1).take(at[:, None, :] + np.arange(0, n * block, block)[:, None])
+    slots = slots.reshape(tile, -1)  # (target, frame * slot)
+
+    count = slots.shape[1]
+    kk = min(top_k, count)
+    kth = np.partition(slots, count - kk, axis=1)[:, count - kk]
+    keep = (slots >= (kth - margin)[:, None]) & (slots > -np.inf)
+    cell, slot = np.divmod(np.flatnonzero(keep), count)
+    frame, slot = np.divmod(slot, side * side)
+    return cell, frame * (h * w) + grid_cell[cell, slot]
 
 
 def _propagate(target, context, labels, radius, top_k, temperature):

@@ -168,10 +168,15 @@ def _render_crops(frames, picks, size):
 
     fy = fy[:, :, None, None]
     fx = fx[:, None, :, None]
-    rows0, rows1 = y0[:, :, None], y1[:, :, None]
+    # each tap gathers pixels by one flat index into the stacked frames
+    height, width = stack.shape[1:3]
+    pixels = stack.reshape(-1, 3)
+    rows0, rows1 = ((frame * height + r[:, :, None]) * width for r in (y0, y1))
     cols0, cols1 = x0[:, None, :], x1[:, None, :]
-    top = stack[frame, rows0, cols0] * (1.0 - fx) + stack[frame, rows0, cols1] * fx
-    bot = stack[frame, rows1, cols0] * (1.0 - fx) + stack[frame, rows1, cols1] * fx
+    top = pixels.take(rows0 + cols0, axis=0) * (1.0 - fx) + \
+        pixels.take(rows0 + cols1, axis=0) * fx
+    bot = pixels.take(rows1 + cols0, axis=0) * (1.0 - fx) + \
+        pixels.take(rows1 + cols1, axis=0) * fx
     out = (top * (1.0 - fy) + bot * fy).astype(stack.dtype, copy=False)
     images = np.clip(out, 0.0, 1.0)
 
@@ -245,13 +250,12 @@ def _place_blocks(grid_side, count, rng):
         bw = min(max(int(round(math.sqrt(area / aspect))), 1), grid_side)
         y = int(rng.integers(0, grid_side - bh + 1))
         x = int(rng.integers(0, grid_side - bw + 1))
-        for yy in range(y, y + bh):
-            for xx in range(x, x + bw):
-                if done == count:
-                    break
-                if not mask[yy, xx]:
-                    mask[yy, xx] = True
-                    done += 1
+        # the block's unset cells in row-major order, up to the count left
+        block = mask[y:y + bh, x:x + bw]
+        fill = ~block
+        fill &= np.cumsum(fill).reshape(fill.shape) <= count - done
+        block |= fill
+        done += int(np.count_nonzero(fill))
         # a block landing entirely on set cells makes no progress; loop again
     return mask.reshape(-1)
 

@@ -463,6 +463,23 @@ class TestInferenceFeatures:
             Rng(3).uniform(size=(32, 32, 3)).astype(np.float32), params, config)
         assert feats.shape == (4, 4, 64)
 
+    @pytest.mark.parametrize("side", [32, 64])
+    def test_stack_matches_frames_alone(self, side):
+        """A (B, H, W, 3) stack gets each frame's own bits, at the desk
+        model's 65 and 257 tokens per frame, up to stacks far past the
+        256-token forwards predict_masks builds."""
+        config = ModelConfig(patch_size=4, embed_dim=32, depth=2, heads=4, proj_dim=64,
+                             proj_hidden=128, pe_base_resolution=4, inference_layer=2)
+        params = EncoderParams.init(config, Rng(4), requires_grad=False)
+        frames = Rng(5).uniform(size=(7, side, side, 3)).astype(np.float32)
+        alone = [extract_inference_features(f, params, config).data for f in frames]
+        assert alone[0].shape == (side // 4, side // 4, 32)
+        for size in (2, 3, 7):
+            stacked = extract_inference_features(frames[:size], params, config).data
+            assert stacked.shape == (size,) + alone[0].shape
+            for got, want in zip(stacked, alone):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_rows_unit_norm_and_deterministic(self):
         config, params, image = micro_setup()
         a = extract_inference_features(image, params, config)

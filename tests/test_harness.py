@@ -44,7 +44,7 @@ from vidcorr.metrics import score_track
 from vidcorr.numerics import Rng, named_list_bytes
 from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState
-from vidcorr.propagation import PropagationConfig
+from vidcorr.propagation import PropagationConfig, propagate_video
 from vidcorr.views import VideoSource, load_store, read_pgm, write_index, write_video_dir
 
 
@@ -581,6 +581,40 @@ class TestEvaluation:
             assert again.j_frames == track.j_frames
             assert again.f_frames == track.f_frames
 
+    def test_frames_are_encoded_in_token_budget_stacks(self, tmp_path, monkeypatch):
+        """32 px frames at 4 px patches hold 65 tokens, so predict_masks
+        encodes them three to a forward: a 7-frame video goes 3 + 3 + 1
+        and gets the masks that encoding each frame alone gives."""
+        import vidcorr.harness as harness
+
+        g = np.random.default_rng(11)
+        frames = [g.uniform(size=(32, 32, 3)).astype(np.float32) for _ in range(7)]
+        first = np.zeros((32, 32), dtype=np.uint8)
+        first[4:20, 8:24], first[20:, :12] = 1, 2
+        source = VideoSource(write_video_dir(tmp_path, "video_000", frames, [first]))
+        run = build_run_config(micro_pairs(tmp_path, "unused"))
+        params = EncoderParams.init(run.model, Rng(3).substream("init"),
+                                    requires_grad=False)
+        prop = PropagationConfig(top_k=3, context_size=2, radius=2)
+
+        stacks = []
+        extract = harness.extract_inference_features
+
+        def recording(images, *args):
+            stacks.append(len(images))
+            return extract(images, *args)
+
+        monkeypatch.setattr(harness, "extract_inference_features", recording)
+        masks = harness.predict_masks(source, params, run.model, prop)
+        assert stacks == [3, 3, 1]
+
+        alone = [extract(source[i], params, run.model).data for i in range(len(source))]
+        want = [harness.labels_to_mask(m, run.model.patch_size)
+                for m in propagate_video(alone, first, prop)]
+        assert len(masks) == len(want) == 7
+        for got, ref in zip(masks, want):
+            assert np.array_equal(got, ref)
+
     def test_masks_are_written_through_the_views_module(self, dataset_root,
                                                         tmp_path, monkeypatch):
         """propagate_and_save looks write_pgm up on vidcorr.views at call
@@ -664,11 +698,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage error" in err
         # values the config rejects: one epoch under the default single
-        # warmup epoch, and no epochs at all
+        # warmup epoch, no epochs at all, a zero rate and a beta past 1
         out = tmp_path / "out"
-        for epochs in ("1", "0"):
+        for bad in ("epochs=1", "epochs=0", "opt.lr_scale_constant=0", "opt.beta1=1.5"):
             assert main(["train", "--set", f"data={tmp_path}", "--set", f"out={out}",
-                         "--set", f"epochs={epochs}"]) == 1
+                         "--set", bad]) == 1
             assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 

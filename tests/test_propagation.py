@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_propagation import propagate_frame_reference, reference_cell
+from vidcorr import propagation
 from vidcorr.propagation import (
     FeatureMap,
     LabelMap,
@@ -219,6 +220,37 @@ class TestPropagateFrame:
         feats, labels = stacked(context)
         ref = propagate_frame_reference(target.grid, feats, labels, 3, 5, 0.07)
         assert np.array_equal(out.grid, ref)
+
+    @pytest.mark.parametrize("frames", [1, 11])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_small_windows_match_oracle_on_every_cell(self, radius, frames, monkeypatch):
+        """Small radii rank each target's window slots alone. On a 9x13
+        grid most windows are cut by a border; every cell matches the
+        reference, at top_k 5 and at one more than a corner window's
+        candidate count, where a corner target keeps all of them."""
+        rng = np.random.default_rng(41 + radius)
+        target = FeatureMap(unit_grid(rng, 9, 13, 6))
+        context = [(FeatureMap(unit_grid(rng, 9, 13, 6)),
+                    LabelMap(random_onehot(rng, 9, 13, 3))) for _ in range(frames)]
+        feats, labels = stacked(context)
+        windowed = []
+        gather = propagation._window_survivors
+
+        def counting(band_context, tile_target, *args):
+            windowed.append(len(tile_target))
+            return gather(band_context, tile_target, *args)
+
+        monkeypatch.setattr(propagation, "_window_survivors", counting)
+        for top_k in (5, frames * (radius + 1) ** 2 + 1):
+            windowed.clear()
+            out = propagate_frame(target, context,
+                                  PropagationConfig(top_k=top_k, radius=radius))
+            assert sum(windowed) >= 7 * 13
+            for y in range(9):
+                for x in range(13):
+                    ref = reference_cell(y, x, target.grid, feats, labels,
+                                         radius, top_k, 0.07)
+                    assert np.array_equal(out.grid[y, x], ref), (top_k, y, x)
 
     def test_radius_beyond_grid_is_unrestricted(self):
         target, context = make_instance(11, h=6, w=6)
