@@ -61,12 +61,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
-        if self.depth < 0 or self.patch_size < 1 or self.pe_base_resolution < 2:
+        if self.depth < 1 or self.patch_size < 1 or self.pe_base_resolution < 2:
             raise ValueError("bad backbone geometry")
-        if self.depth == 0:
-            if self.inference_layer != 0:
-                raise ValueError("depth 0 admits only inference_layer 0")
-        elif not (1 <= self.inference_layer <= self.depth):
+        if not 1 <= self.inference_layer <= self.depth:
             raise ValueError(
                 f"inference_layer={self.inference_layer} outside 1..depth={self.depth}")
         if self.proj_layers < 1:
@@ -242,14 +239,12 @@ def apply_mask_tokens(seq, mask, params):
     """Replace masked patch positions with mask_token + that position's
     position embedding. The class token is never masked.
 
-    mask: (P,) or (batch, P) of {0, 1}.
+    mask: (batch, P) of {0, 1}.
     """
     mask = np.asarray(mask)
-    p = seq.num_patches
-    if mask.shape[-1] != p or mask.ndim not in (1, 2):
-        raise ValueError(f"mask shape {mask.shape} does not cover {p} patch tokens")
-    if mask.ndim == 1:
-        mask = np.broadcast_to(mask, (seq.batch, p))
+    if mask.shape != (seq.batch, seq.num_patches):
+        raise ValueError(f"mask shape {mask.shape} does not cover the "
+                         f"{seq.batch} x {seq.num_patches} patch tokens")
     dtype = seq.tokens.dtype
     gate = np.concatenate(
         [np.zeros((mask.shape[0], 1), dtype=dtype), mask.astype(dtype)], axis=1)[:, :, None]
@@ -354,16 +349,12 @@ def forward_batch(seq, params, config, rows=None):
     residual, norm2, MLP) and the final norm only on the distinct
     wanted rows, while its keys and values still come from every token
     (see :func:`_block`); the head then runs on the wanted rows.
-
-    With depth 0 the head consumes the embedded tokens directly and the
-    final norm is skipped.
     """
     queries = None
-    if rows is not None and config.depth > 0:
+    if rows is not None:
         queries, rows = _query_slots(rows, seq.batch, 1 + seq.num_patches)
     x = _run_blocks(seq, params, config, config.depth, queries)
-    if config.depth > 0:
-        x = layer_norm(x, params["final_norm/gamma"], params["final_norm/beta"])
+    x = layer_norm(x, params["final_norm/gamma"], params["final_norm/beta"])
     if rows is not None:
         x = gather_rows(reshape(x, (-1, config.embed_dim)), rows)
     logits = _head(x, params, config)

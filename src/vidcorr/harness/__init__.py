@@ -9,7 +9,7 @@ byte-for-byte and resumable mid-run without replaying work.
 
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,8 @@ from vidcorr.objectives import (
 from vidcorr.optimizer import (
     OptimizerConfig,
     OptState,
+    Schedule,
     adamw_step,
-    check_knobs,
     lr_at,
     wd_at,
 )
@@ -78,22 +78,13 @@ from .synthetic import gen_synthetic_dataset  # noqa: F401
 
 
 @dataclass
-class OptKnobs:
-    """Optimizer settings that live in the config file; steps per epoch
-    only become known once the dataset is indexed."""
-
-    warmup_epochs: int = 1
-    lr_scale_constant: float = 0.003
-    lr_floor_fraction: float = 1e-6
-    wd_start: float = 0.04
-    wd_end: float = 0.4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
 class RunConfig:
+    """Every setting of a run: the top-level keys, then one dataclass per
+    dotted section, each key with one default and one check. The checks
+    here span keys (warmup_epochs < epochs) or belong to no section
+    (mask_ratio a pair with 0 <= lo <= hi <= 1, both momenta in [0, 1]).
+    canonical_config_text echoes the fields in this order."""
+
     seed: int = 0
     epochs: int = 2
     batch: int = 2
@@ -105,36 +96,37 @@ class RunConfig:
     mask_ratio: tuple = (0.1, 0.5)
     loss_mode: str = "full"
     checkpoint_every: int = 1
-    view: ViewConfig = None
-    model: ModelConfig = None
-    temp: TemperatureConfig = None
-    opt: OptKnobs = None
-    prop: PropagationConfig = None
+    view: ViewConfig = field(default_factory=ViewConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    temp: TemperatureConfig = field(default_factory=TemperatureConfig)
+    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
+    prop: PropagationConfig = field(default_factory=PropagationConfig)
 
     def __post_init__(self):
-        self.view = self.view or ViewConfig()
-        self.model = self.model or ModelConfig()
-        self.temp = self.temp or TemperatureConfig()
-        self.opt = self.opt or OptKnobs()
-        self.prop = self.prop or PropagationConfig()
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be positive")
-        check_knobs(self.opt, self.epochs, (self.opt.beta1, self.opt.beta2))
+        if self.opt.warmup_epochs >= self.epochs:
+            raise ValueError(f"warmup_epochs {self.opt.warmup_epochs} must lie in "
+                             f"[0, epochs {self.epochs})")
         if not 0.0 <= self.gate_probability <= 1.0:
             raise ValueError("gate_probability must lie in [0, 1]")
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ValueError("ema_momentum must lie in [0, 1]")
+        for name in ("ema_momentum", "center_momentum"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        ratio = self.mask_ratio
+        if not (isinstance(ratio, tuple) and len(ratio) == 2
+                and 0.0 <= ratio[0] <= ratio[1] <= 1.0):
+            raise ValueError(f"mask_ratio {ratio!r} must be a pair lo,hi "
+                             "with 0 <= lo <= hi <= 1")
         if self.loss_mode not in ("full", "g2g"):
             raise ValueError("loss_mode must be 'full' or 'g2g'")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 keeps only the last epoch)")
 
 
-_SECTIONS = {"view": ViewConfig, "model": ModelConfig, "temp": TemperatureConfig,
-             "opt": OptKnobs, "prop": PropagationConfig}
-_TOP_FIELDS = ("seed", "epochs", "batch", "data", "out", "ema_momentum",
-               "center_momentum", "gate_probability", "mask_ratio", "loss_mode",
-               "checkpoint_every")
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)
+             if f.default_factory is not MISSING}
+_TOP_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in _SECTIONS)
 
 
 def parse_value(text):
@@ -217,22 +209,6 @@ def canonical_config_text(run):
         for f in sorted(fields(type(sub)), key=lambda f: f.name):
             lines.append(f"{section}.{f.name} = {_format_value(getattr(sub, f.name))}")
     return "\n".join(lines) + "\n"
-
-
-def make_opt_config(run, steps_per_epoch):
-    return OptimizerConfig(
-        batch_size=run.batch,
-        clip_len=run.view.clip_len,
-        steps_per_epoch=steps_per_epoch,
-        total_epochs=run.epochs,
-        warmup_epochs=run.opt.warmup_epochs,
-        lr_scale_constant=run.opt.lr_scale_constant,
-        lr_floor_fraction=run.opt.lr_floor_fraction,
-        wd_start=run.opt.wd_start,
-        wd_end=run.opt.wd_end,
-        betas=(run.opt.beta1, run.opt.beta2),
-        eps=run.opt.eps,
-    )
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -459,7 +435,7 @@ def step_losses(crops, clip_masks, student, teacher, run):
     return breakdown, t_cls, t_patch
 
 
-def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
+def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
     """One optimization step over a batch of clips.
 
     Returns (breakdown, lr, wd, gated_any, applied); applied is False
@@ -484,15 +460,15 @@ def train_step(step, group, student, teacher, run, opt_config, opt_state, rng):
     gated = any(masks is not None for masks in clip_masks)
 
     breakdown, t_cls, t_patch = step_losses(crops, clip_masks, student, teacher, run)
-    lr = lr_at(step, opt_config)
-    wd = wd_at(step, opt_config)
+    lr = lr_at(step, schedule)
+    wd = wd_at(step, schedule)
 
     if not np.isfinite(breakdown.total.data):
         return breakdown, lr, wd, gated, False
 
     backward(breakdown.total)
     grads = {name: t.grad for name, t in student.named_parameters()}
-    applied = adamw_step(student, grads, opt_state, lr, wd, opt_config)
+    applied = adamw_step(student, grads, opt_state, lr, wd, run.opt)
     for _, t in student.named_parameters():
         t.zero_grad()
     if applied:
@@ -547,7 +523,8 @@ def train(run, resume=None, progress=None):
         start_step = ckpt.step
 
     steps_per_epoch = max(1, len(sources) // run.batch)
-    opt_config = make_opt_config(run, steps_per_epoch)
+    schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch,
+                        run.epochs)
 
     log_path = out / "train.log"
     if resume is not None and log_path.exists():
@@ -567,7 +544,7 @@ def train(run, resume=None, progress=None):
                     continue
                 group = [sources[j] for j in order[b * run.batch:(b + 1) * run.batch]]
                 breakdown, lr, wd, gated, applied = train_step(
-                    step, group, student, teacher, run, opt_config, opt_state, rng)
+                    step, group, student, teacher, run, schedule, opt_state, rng)
                 line = breakdown.log_line(step, lr, wd, gated)
                 if not applied:
                     skip_streak += 1

@@ -63,30 +63,26 @@ class SyntheticSceneSpec:
             raise ValueError("flicker gains must be positive")
 
 
-def random_scene_spec(rng, canvas=32, frames=12, num_objects=None,
-                      flicker_amplitude=0.25, speed_range=(0.5, 1.5),
-                      size_range=None):
+def random_scene_spec(rng, canvas=32, frames=12, flicker_amplitude=0.25):
     """Lighting flicker is the part that makes the corpus nontrivial:
     each frame gets its own (r, g, b) gain triple, as if the light color
     drifted between frames. A uniform brightness change would be washed
     out by feature normalization anyway; independent channel gains
     rotate raw colors, so cross-frame matching has to come from features
     that learned to ignore the lighting."""
-    if num_objects is None:
-        num_objects = int(rng.substream("count").integers(1, 4))
-    size_lo, size_hi = size_range or (canvas // 4, canvas // 2)
+    num_objects = int(rng.substream("count").integers(1, 4))
     shapes, sizes, colors, starts, velocities = [], [], [], [], []
     for i in range(num_objects):
         orng = rng.substream(f"object{i}")
         shapes.append(SHAPE_KINDS[int(orng.substream("kind").integers(0, 3))])
-        size = int(orng.substream("size").integers(size_lo, size_hi))
+        size = int(orng.substream("size").integers(canvas // 4, canvas // 2))
         sizes.append(size)
         anchor = _COLOR_ANCHORS[int(orng.substream("color").integers(0, len(_COLOR_ANCHORS)))]
         wobble = orng.substream("wobble").uniform(-0.08, 0.08, size=3)
         colors.append(tuple(np.clip(anchor + wobble, 0.0, 1.0)))
         span = canvas - size
         starts.append(tuple(orng.substream("start").uniform(0, span, size=2)))
-        speed = orng.substream("speed").uniform(*speed_range, size=2)
+        speed = orng.substream("speed").uniform(0.5, 1.5, size=2)
         sign = np.where(orng.substream("dir").uniform(size=2) < 0.5, -1.0, 1.0)
         velocities.append(tuple(speed * sign))
     flicker = ()

@@ -136,7 +136,7 @@ class SequenceScores:
         return (self.j_mean + self.f_mean) / 2.0
 
 
-def score_track(pred_masks, truth_masks, object_id, sequence="seq", tolerance=None):
+def score_track(pred_masks, truth_masks, object_id, sequence="seq"):
     """J and F per frame for one object; frame 0 is the given label and
     does not count."""
     if len(pred_masks) != len(truth_masks):
@@ -146,7 +146,7 @@ def score_track(pred_masks, truth_masks, object_id, sequence="seq", tolerance=No
     js, fs = [], []
     for pred, truth in zip(pred_masks[1:], truth_masks[1:]):
         js.append(region_similarity_J(pred, truth, object_id))
-        fs.append(contour_accuracy_F(pred, truth, object_id, tolerance))
+        fs.append(contour_accuracy_F(pred, truth, object_id))
     return TrackScores(sequence, object_id, js, fs)
 
 

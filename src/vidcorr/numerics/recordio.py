@@ -64,14 +64,14 @@ def named_list_bytes(items):
     return b"".join(parts)
 
 
-def parse_named_list(buf, offset=0, end=None):
-    """Inverse of :func:`named_list_bytes`.
+def parse_named_list(buf, offset=0):
+    """Inverse of :func:`named_list_bytes`, reading from ``offset`` to
+    the end of ``buf``.
 
     Returns (list of (name, array), next_offset)."""
-    end = len(buf) if end is None else end
     out = []
     pos = offset
-    while pos < end:
+    while pos < len(buf):
         (n,) = struct.unpack_from("<I", buf, pos)
         pos += 4
         name = buf[pos : pos + n].decode("utf-8")

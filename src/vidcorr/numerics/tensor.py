@@ -353,32 +353,28 @@ def narrow(a, axis, start, length):
     return _result(a.data[index], (a,), vjp)
 
 
-def gather_rows(a, indices, axis=0):
-    """Select positions along ``axis``; duplicate indices accumulate grads."""
+def gather_rows(a, indices):
+    """Select rows (positions along axis 0); duplicate indices
+    accumulate grads."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(a.data, idx, axis=axis)
+    data = np.take(a.data, idx, axis=0)
 
     def vjp(g):
         full = np.zeros(a.shape, dtype=g.dtype)
-        moved = np.moveaxis(full, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        np.add.at(full, idx, g)
         return (full,)
 
     return _result(data, (a,), vjp)
 
 
-def tensor_sum(a, axis=None, keepdims=False):
+def tensor_sum(a):
+    """Sum of every element, as a 0-d Tensor."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum()
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy(),)
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, tuple(ax % a.ndim for ax in axes))
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy(),)
 
     return _result(data, (a,), vjp)
 

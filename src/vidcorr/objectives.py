@@ -224,10 +224,11 @@ def total_loss(out_g2g, out_l2g, in_mim, in_aff):
     return LossBreakdown(out_g2g, out_l2g, in_mim, in_aff, total)
 
 
-def ema_update(state, student_params, momentum=None):
-    """teacher <- m * teacher + (1 - m) * student, elementwise, outside
-    any gradient graph. Mutates and returns the state."""
-    m = state.momentum if momentum is None else momentum
+def ema_update(state, student_params):
+    """teacher <- m * teacher + (1 - m) * student with m = state.momentum,
+    elementwise, outside any gradient graph. Mutates and returns the
+    state."""
+    m = state.momentum
     teacher_named = state.params.named_parameters()
     student_named = student_params.named_parameters()
     if [n for n, _ in teacher_named] != [n for n, _ in student_named]:
@@ -239,17 +240,15 @@ def ema_update(state, student_params, momentum=None):
     return state
 
 
-def center_update(state, cls_logits, patch_logits, momentum=None):
-    """center <- momentum * center + (1 - momentum) * batch row mean of
-    the raw teacher logits; class and patch centers update separately.
-    Mutates and returns the state."""
-    m = state.center_momentum if momentum is None else momentum
+def center_update(state, cls_logits, patch_logits):
+    """center <- m * center + (1 - m) * batch row mean of the raw teacher
+    logits, with m = state.center_momentum; the class center takes the
+    class logits and the patch center the patch logits, both Tensors of
+    the teacher forward. Mutates and returns the state."""
+    m = state.center_momentum
     for name, center, logits in (("cls", state.center_cls, cls_logits),
                                  ("patch", state.center_patch, patch_logits)):
-        if logits is None:
-            continue
-        batch = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-        batch = batch.reshape(-1, batch.shape[-1])
+        batch = logits.data.reshape(-1, logits.shape[-1])
         if batch.shape[0] == 0:
             raise ValueError(f"empty {name} batch in center_update")
         mean = batch.mean(axis=0)

@@ -20,61 +20,64 @@ log = logging.getLogger(__name__)
 DECAY_EXEMPT_NAMES = ("cls_token", "mask_token")
 
 
-def check_knobs(knobs, total_epochs, betas):
-    """The checks every optimizer setting passes, for an OptimizerConfig
-    and for the run config's opt.* section alike: warmup_epochs in
-    [0, total_epochs), positive rates and both betas in [0, 1)."""
-    if not 0 <= knobs.warmup_epochs < total_epochs:
-        raise ValueError(f"warmup_epochs {knobs.warmup_epochs} must lie in "
-                         f"[0, epochs {total_epochs})")
-    bad = [name for name in ("lr_scale_constant", "lr_floor_fraction", "wd_start",
-                             "wd_end", "eps") if not getattr(knobs, name) > 0]
-    if bad:
-        raise ValueError(f"rates must be positive: {', '.join(bad)}")
-    if not all(0 <= b < 1 for b in betas):
-        raise ValueError(f"betas {betas} must lie in [0, 1)")
-
-
 @dataclass
 class OptimizerConfig:
-    batch_size: int
-    clip_len: int
-    steps_per_epoch: int
-    total_epochs: int = 25
-    warmup_epochs: int = 5
+    """The run config's opt.* section. The schedules also read run facts,
+    which a :class:`Schedule` adds; warmup_epochs < epochs is RunConfig's
+    check, because epochs is a run setting."""
+
+    warmup_epochs: int = 1
     lr_scale_constant: float = 0.003
     lr_floor_fraction: float = 1e-6
     wd_start: float = 0.04
     wd_end: float = 0.4
-    betas: tuple = (0.9, 0.999)
+    beta1: float = 0.9
+    beta2: float = 0.999
     eps: float = 1e-8
 
     def __post_init__(self):
-        if min(self.batch_size, self.clip_len, self.steps_per_epoch,
-               self.total_epochs) <= 0:
-            raise ValueError("batch, clip length, steps and epochs must be positive")
-        check_knobs(self, self.total_epochs, self.betas)
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs {self.warmup_epochs} must be >= 0")
+        bad = [name for name in ("lr_scale_constant", "lr_floor_fraction", "wd_start",
+                                 "wd_end", "eps") if not getattr(self, name) > 0]
+        if bad:
+            raise ValueError(f"rates must be positive: {', '.join(bad)}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"betas ({self.beta1}, {self.beta2}) must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """What the lr and wd schedules read: the opt.* settings plus the
+    run facts known once the training set is indexed (batch size, clip
+    length, steps per epoch, epochs). train() builds one per run."""
+
+    opt: OptimizerConfig
+    batch_size: int
+    clip_len: int
+    steps_per_epoch: int
+    total_epochs: int
 
     @property
     def warmup_steps(self):
-        return self.warmup_epochs * self.steps_per_epoch
+        return self.opt.warmup_epochs * self.steps_per_epoch
 
     @property
     def total_steps(self):
         return self.total_epochs * self.steps_per_epoch
 
 
-def base_lr(config):
+def base_lr(schedule):
     """Linear scaling rule: constant * batch * clip length / 1024."""
-    return config.lr_scale_constant * config.batch_size * config.clip_len / 1024
+    return schedule.opt.lr_scale_constant * schedule.batch_size * schedule.clip_len / 1024
 
 
-def lr_at(step, config):
+def lr_at(step, schedule):
     """Linear ramp 0 -> base over the warmup steps, then a half cosine
     down to lr_floor_fraction * base. Steps past the end clamp."""
-    base = base_lr(config)
-    floor = config.lr_floor_fraction * base
-    warm, total = config.warmup_steps, config.total_steps
+    base = base_lr(schedule)
+    floor = schedule.opt.lr_floor_fraction * base
+    warm, total = schedule.warmup_steps, schedule.total_steps
     if step < 0:
         raise ValueError(f"negative step {step}")
     if step < warm:
@@ -85,18 +88,18 @@ def lr_at(step, config):
     return floor + 0.5 * (base - floor) * (1.0 + math.cos(math.pi * u))
 
 
-def wd_at(step, config):
+def wd_at(step, schedule):
     """Half cosine wd_start -> wd_end over all steps, no warmup.
 
     Anchored at wd_start so step 0 returns it exactly; the far end is
     handled by the clamp."""
     if step < 0:
         raise ValueError(f"negative step {step}")
-    total = config.total_steps
+    opt, total = schedule.opt, schedule.total_steps
     if step >= total:
-        return config.wd_end
+        return opt.wd_end
     u = step / total
-    return config.wd_start + 0.5 * (config.wd_end - config.wd_start) * (
+    return opt.wd_start + 0.5 * (opt.wd_end - opt.wd_start) * (
         1.0 - math.cos(math.pi * u))
 
 
@@ -151,7 +154,8 @@ def adamw_step(params, grads, state, lr, wd, config):
     grads maps parameter name to an array; a missing or None entry
     counts as a zero gradient (e.g. the mask token on gated-off steps).
     Any non-finite gradient skips the whole step, leaving params and
-    state untouched. Returns True when the step applied.
+    state untouched. config: the OptimizerConfig, for its betas and eps.
+    Returns True when the step applied.
     """
     named = params.named_parameters()
     updates = []
@@ -170,7 +174,7 @@ def adamw_step(params, grads, state, lr, wd, config):
                 return False
         updates.append((name, t, g))
 
-    b1, b2 = config.betas
+    b1, b2 = config.beta1, config.beta2
     state.step += 1
     t_count = state.step
     c1 = 1.0 - b1 ** t_count

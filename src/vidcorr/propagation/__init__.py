@@ -93,12 +93,13 @@ class LabelMap:
             raise ValueError(f"label cells must sum to 1 (worst deviation {worst:.2e})")
 
 
-def init_labels(mask, grid, num_classes=None):
+def init_labels(mask, grid):
     """Downsample a pixel mask of object ids to a one-hot LabelMap.
 
     Each grid cell takes the majority id over the pixels it covers,
-    ties broken toward the lower id. Mask extents must be integer
-    multiples of the grid extents.
+    ties broken toward the lower id; the label width is the largest id
+    plus one. Mask extents must be integer multiples of the grid
+    extents.
     """
     mask = np.asarray(mask)
     if mask.size == 0:
@@ -113,10 +114,7 @@ def init_labels(mask, grid, num_classes=None):
         raise ValueError(f"mask shape {mask.shape} is not divisible by grid {grid}")
     if mask.min() < 0:
         raise ValueError("object ids must be nonnegative")
-    if num_classes is None:
-        num_classes = int(mask.max()) + 1
-    elif mask.max() >= num_classes:
-        raise ValueError(f"mask id {int(mask.max())} outside {num_classes} classes")
+    num_classes = int(mask.max()) + 1
 
     cell_y = np.arange(mh) // (mh // h)
     cell_x = np.arange(mw) // (mw // w)

@@ -41,7 +41,7 @@ from vidcorr.objectives import (
     loss_out_l2g,
     teacher_distribution,
 )
-from vidcorr.optimizer import OptimizerConfig, base_lr, lr_at, wd_at
+from vidcorr.optimizer import OptimizerConfig, Schedule, base_lr, lr_at, wd_at
 from vidcorr.propagation import (
     FeatureMap,
     LabelMap,
@@ -165,10 +165,10 @@ def test_criterion_3_teacher_machinery(capsys):
     logits = g.integers(-8, 9, size=(batch, k)).astype(np.float64)
     shift = g.integers(-4, 5, size=k).astype(np.float64)
     temps = TemperatureConfig()
-    plain = TeacherState.from_student(student_a)
-    shifted = TeacherState.from_student(student_a)
-    center_update(plain, Tensor(logits), None, momentum=0.0)
-    center_update(shifted, Tensor(logits + shift), None, momentum=0.0)
+    plain = TeacherState.from_student(student_a, center_momentum=0.0)
+    shifted = TeacherState.from_student(student_a, center_momentum=0.0)
+    center_update(plain, Tensor(logits), Tensor(logits))
+    center_update(shifted, Tensor(logits + shift), Tensor(logits + shift))
     d_plain = teacher_distribution(Tensor(logits), plain, temps, "cls").data
     d_shift = teacher_distribution(Tensor(logits + shift), shifted, temps, "cls").data
     bitwise = d_plain.tobytes() == d_shift.tobytes()
@@ -446,12 +446,10 @@ def test_criterion_8_determinism_and_persistence(capsys, micro_dataset,
 def test_criterion_9_schedule_values(capsys):
     """Spot values of the linear-scaling rule, exact weight-decay
     endpoints, and warmup/cosine continuity."""
-    cfg_a = OptimizerConfig(batch_size=16, clip_len=4, steps_per_epoch=10,
-                            total_epochs=25, warmup_epochs=5,
-                            lr_scale_constant=0.003)
-    cfg_b = OptimizerConfig(batch_size=32, clip_len=4, steps_per_epoch=10,
-                            total_epochs=25, warmup_epochs=5,
-                            lr_scale_constant=0.0003)
+    cfg_a = Schedule(OptimizerConfig(warmup_epochs=5, lr_scale_constant=0.003),
+                     batch_size=16, clip_len=4, steps_per_epoch=10, total_epochs=25)
+    cfg_b = Schedule(OptimizerConfig(warmup_epochs=5, lr_scale_constant=0.0003),
+                     batch_size=32, clip_len=4, steps_per_epoch=10, total_epochs=25)
     lr_ok = base_lr(cfg_a) == 1.875e-4 and base_lr(cfg_b) == 3.75e-5
     wd_ok = wd_at(0, cfg_a) == 0.04 and wd_at(cfg_a.total_steps, cfg_a) == 0.4
     warm = cfg_a.warmup_steps

@@ -24,7 +24,6 @@ from vidcorr.harness import (
     gen_synthetic_dataset,
     load_checkpoint,
     load_run_config,
-    make_opt_config,
     params_from_checkpoint,
     parse_config_text,
     parse_value,
@@ -43,7 +42,7 @@ from vidcorr.harness.synthetic import (
 from vidcorr.metrics import score_track
 from vidcorr.numerics import Rng, named_list_bytes
 from vidcorr.objectives import TeacherState
-from vidcorr.optimizer import OptState
+from vidcorr.optimizer import OptState, Schedule
 from vidcorr.propagation import PropagationConfig, propagate_video
 from vidcorr.views import VideoSource, load_store, read_pgm, write_index, write_video_dir
 
@@ -127,6 +126,111 @@ class TestConfigValues:
             parse_config_text("seed = 1\nnonsense\n")
 
 
+# The config echo every checkpoint embeds; `train --resume` compares it
+# byte for byte, so a renamed or reordered key strands every existing
+# checkpoint. Change these only together with the checkpoint format.
+# (\x20 is the space after the empty data value.)
+DEFAULT_ECHO = """\
+seed = 0
+epochs = 2
+batch = 2
+data =\x20
+out = run_out
+ema_momentum = 0.996
+center_momentum = 0.9
+gate_probability = 0.5
+mask_ratio = 0.1,0.5
+loss_mode = full
+checkpoint_every = 1
+model.depth = 6
+model.embed_dim = 64
+model.heads = 4
+model.inference_layer = 4
+model.mlp_ratio = 4
+model.patch_size = 8
+model.pe_base_resolution = 8
+model.proj_dim = 256
+model.proj_hidden = 1024
+model.proj_layers = 3
+opt.beta1 = 0.9
+opt.beta2 = 0.999
+opt.eps = 1e-08
+opt.lr_floor_fraction = 1e-06
+opt.lr_scale_constant = 0.003
+opt.warmup_epochs = 1
+opt.wd_end = 0.4
+opt.wd_start = 0.04
+prop.context_size = 10
+prop.include_first_frame = true
+prop.radius = 40
+prop.temperature = 0.07
+prop.top_k = 5
+temp.student = 0.1
+temp.teacher = 0.04
+view.brightness = 0.4
+view.clip_len = 4
+view.contrast = 0.4
+view.flip_jitter_target = locals
+view.frameskip = 8
+view.global_scale = 0.8,0.95
+view.global_size = 64
+view.local_scale = 0.05,0.8
+view.local_size = 32
+view.locals_per_frame = 8
+view.saturation = 0.2
+"""
+
+DESK_ECHO = """\
+seed = 0
+epochs = 50
+batch = 2
+data =\x20
+out = run_out
+ema_momentum = 0.9
+center_momentum = 0.9
+gate_probability = 1.0
+mask_ratio = 0.1,0.5
+loss_mode = full
+checkpoint_every = 0
+model.depth = 2
+model.embed_dim = 32
+model.heads = 4
+model.inference_layer = 2
+model.mlp_ratio = 4
+model.patch_size = 4
+model.pe_base_resolution = 4
+model.proj_dim = 64
+model.proj_hidden = 128
+model.proj_layers = 3
+opt.beta1 = 0.9
+opt.beta2 = 0.999
+opt.eps = 1e-08
+opt.lr_floor_fraction = 1e-06
+opt.lr_scale_constant = 0.3
+opt.warmup_epochs = 5
+opt.wd_end = 0.4
+opt.wd_start = 0.04
+prop.context_size = 10
+prop.include_first_frame = true
+prop.radius = 40
+prop.temperature = 0.07
+prop.top_k = 5
+temp.student = 0.1
+temp.teacher = 0.04
+view.brightness = 0.4
+view.clip_len = 6
+view.contrast = 0.4
+view.flip_jitter_target = locals
+view.frameskip = 2
+view.global_scale = 0.8,0.95
+view.global_size = 32
+view.local_scale = 0.3,0.8
+view.local_size = 16
+view.locals_per_frame = 2
+view.saturation = 0.2
+"""
+
+
 class TestBuildRunConfig:
     def test_defaults_and_dotted_keys(self):
         run = build_run_config({"epochs": 3, "view.clip_len": 8,
@@ -171,6 +275,11 @@ class TestBuildRunConfig:
         again = build_run_config(parse_config_text(text))
         assert canonical_config_text(again) == text
         assert again == run
+
+    def test_config_echo_is_pinned(self):
+        assert canonical_config_text(build_run_config({})) == DEFAULT_ECHO
+        assert canonical_config_text(load_run_config(REPO / "examples" / "desk.cfg")) \
+            == DESK_ECHO
 
     def test_load_run_config_applies_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -481,9 +590,10 @@ class TestTrainingLoop:
         sources = load_store(Path(run.data) / "train")
         student, teacher, opt_state = micro_state(run)
         dict(student.named_parameters())["patch_proj/weight"].data[0, 0] = np.nan
-        opt_config = make_opt_config(run, steps_per_epoch=2)
+        schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch=2,
+                            total_epochs=run.epochs)
         with pytest.raises(ValueError, match="non-finite"):
-            train_step(0, sources[:2], student, teacher, run, opt_config,
+            train_step(0, sources[:2], student, teacher, run, schedule,
                        opt_state, Rng(run.seed))
 
     def test_three_skipped_steps_abort(self, dataset_root, tmp_path,
@@ -698,9 +808,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage error" in err
         # values the config rejects: one epoch under the default single
-        # warmup epoch, no epochs at all, a zero rate and a beta past 1
+        # warmup epoch, no epochs at all, a zero rate, a beta past 1, mask
+        # ratios that are not a pair 0 <= lo <= hi <= 1 (an upper end past
+        # 1 asks the mask sampler for more cells than the grid has) and a
+        # center momentum past 1
         out = tmp_path / "out"
-        for bad in ("epochs=1", "epochs=0", "opt.lr_scale_constant=0", "opt.beta1=1.5"):
+        for bad in ("epochs=1", "epochs=0", "opt.lr_scale_constant=0", "opt.beta1=1.5",
+                    "mask_ratio=0.5,1.5", "mask_ratio=0.6,0.2", "mask_ratio=-0.5,0.2",
+                    "mask_ratio=0.3", "center_momentum=5.0"):
             assert main(["train", "--set", f"data={tmp_path}", "--set", f"out={out}",
                          "--set", bad]) == 1
             assert "usage error" in capsys.readouterr().err

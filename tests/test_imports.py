@@ -1,15 +1,18 @@
-"""Unused-import gate for the package sources.
+"""Unused-import and test-only-name gates for the package sources.
 
 A name that a module imports must be read somewhere in that module,
 listed in its ``__all__``, or marked ``# noqa: F401`` on its line (a
-deliberate re-export)."""
+deliberate re-export). A public top-level function or class must be
+read by the program itself (src/, perfbench/ or scripts/), not only by
+tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "vidcorr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vidcorr"
 
 
 def unused_imports(text):
@@ -45,3 +48,57 @@ def test_gate_catches_an_unused_import():
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_definitions(text):
+    """Names of the public top-level functions and classes of ``text``."""
+    return [node.name for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+class _Reads(ast.NodeVisitor):
+    """Bare names, attribute names and identifier strings (the benchmark
+    looks functions up by name); ``__all__`` lists are not reads."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.names.add(node.value)
+
+
+def names_read(text):
+    reads = _Reads()
+    reads.visit(ast.parse(text))
+    return reads.names
+
+
+def test_gate_sees_definitions_and_reads():
+    text = ("__all__ = ['f']\ndef f():\n    pass\ndef _g():\n    pass\n"
+            "class C:\n    pass\nx = h.C\ny = 'k'\n")
+    assert public_definitions(text) == ["f", "C"]
+    assert names_read(text) == {"x", "h", "C", "y", "k"}
+
+
+def test_no_public_name_only_tests_use():
+    reads = set()
+    for directory in ("src", "perfbench", "scripts"):
+        for path in (ROOT / directory).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                reads |= names_read(path.read_text())
+    unused = [f"{path.relative_to(SRC)}: {name}" for path in sorted(SRC.rglob("*.py"))
+              for name in public_definitions(path.read_text()) if name not in reads]
+    assert unused == []

@@ -391,18 +391,18 @@ class TestTeacherStateAndEma:
 
     def test_momentum_one_freezes_teacher(self):
         _, student = micro_params(22)
-        state = TeacherState.from_student(student)
+        state = TeacherState.from_student(student, momentum=1.0)
         before = {n: t.data.copy() for n, t in state.params.named_parameters()}
         _, other = micro_params(23)
-        ema_update(state, other, momentum=1.0)
+        ema_update(state, other)
         for name, t in state.params.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
 
     def test_momentum_zero_copies_student(self):
         _, student = micro_params(24)
         _, other = micro_params(25)
-        state = TeacherState.from_student(student)
-        ema_update(state, other, momentum=0.0)
+        state = TeacherState.from_student(student, momentum=0.0)
+        ema_update(state, other)
         for (name, t), (_, s) in zip(state.params.named_parameters(),
                                      other.named_parameters()):
             np.testing.assert_array_equal(t.data, s.data)
@@ -438,16 +438,16 @@ class TestTeacherStateAndEma:
 
 
 class TestCenterUpdate:
-    def state(self, seed):
+    def state(self, seed, **momenta):
         _, params = micro_params(seed, requires_grad=False)
-        return TeacherState(params)
+        return TeacherState(params, **momenta)
 
     def test_momentum_zero_is_batch_mean(self):
-        state = self.state(29)
+        state = self.state(29, center_momentum=0.0)
         g = np.random.default_rng(30)
         cls = g.normal(size=(10, 6))
         patch = g.normal(size=(3, 4, 6))
-        center_update(state, cls, patch, momentum=0.0)
+        center_update(state, Tensor(cls), Tensor(patch))
         np.testing.assert_allclose(state.center_cls.data, cls.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(state.center_patch.data,
                                    patch.reshape(-1, 6).mean(axis=0), atol=1e-12)
@@ -456,7 +456,7 @@ class TestCenterUpdate:
         state = self.state(31)
         state.center_cls = Tensor(np.full(6, 2.0))
         cls = np.zeros((4, 6))
-        center_update(state, cls, None)
+        center_update(state, Tensor(cls), Tensor(cls))
         np.testing.assert_allclose(state.center_cls.data, 1.8, atol=1e-12)
 
     def test_default_momentum(self):
@@ -466,12 +466,12 @@ class TestCenterUpdate:
     def test_empty_batch_rejected(self):
         state = self.state(33)
         with pytest.raises(ValueError, match="empty"):
-            center_update(state, np.zeros((0, 6)), None)
+            center_update(state, Tensor(np.zeros((0, 6))), Tensor(np.zeros((2, 6))))
 
     def test_accepts_tensor_input(self):
-        state = self.state(34)
+        state = self.state(34, center_momentum=0.0)
         cls = Tensor(np.ones((2, 6)))
-        center_update(state, cls, None, momentum=0.0)
+        center_update(state, cls, cls)
         np.testing.assert_allclose(state.center_cls.data, 1.0, atol=1e-12)
 
     def test_constant_shift_absorbed_into_center(self):
@@ -482,12 +482,12 @@ class TestCenterUpdate:
         logits = g.normal(size=(8, 6))
         shift = g.normal(size=6)
 
-        plain = self.state(36)
-        center_update(plain, logits, None, momentum=0.0)
+        plain = self.state(36, center_momentum=0.0)
+        center_update(plain, Tensor(logits), Tensor(logits))
         base = teacher_distribution(Tensor(logits), plain, temps, "cls")
 
-        shifted = self.state(36)
-        center_update(shifted, logits + shift, None, momentum=0.0)
+        shifted = self.state(36, center_momentum=0.0)
+        center_update(shifted, Tensor(logits + shift), Tensor(logits + shift))
         moved = teacher_distribution(Tensor(logits + shift), shifted, temps, "cls")
         np.testing.assert_allclose(moved.data, base.data, atol=1e-9)
 

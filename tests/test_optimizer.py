@@ -8,9 +8,11 @@ import pytest
 
 from vidcorr.encoder import EncoderParams, ModelConfig
 from vidcorr.numerics import Rng, Tensor, named_list_bytes, parse_named_list
+from vidcorr.harness import build_run_config
 from vidcorr.optimizer import (
     OptimizerConfig,
     OptState,
+    Schedule,
     adamw_step,
     base_lr,
     decay_exempt,
@@ -28,25 +30,25 @@ def micro_params(seed):
     return EncoderParams.init(config, Rng(seed), dtype=np.float64)
 
 
-def small_config(**overrides):
-    base = dict(batch_size=16, clip_len=4, steps_per_epoch=10,
-                total_epochs=25, warmup_epochs=5)
-    base.update(overrides)
-    return OptimizerConfig(**base)
+def small_config(batch_size=16, clip_len=4, **opt):
+    """The schedule of a 25-epoch run of 10 steps per epoch, 5 of them
+    warmup; opt overrides opt.* settings."""
+    return Schedule(OptimizerConfig(**{"warmup_epochs": 5, **opt}), batch_size,
+                    clip_len, steps_per_epoch=10, total_epochs=25)
 
 
 class TestConfig:
     def test_warmup_must_stay_below_total(self):
         with pytest.raises(ValueError, match="warmup"):
-            small_config(warmup_epochs=25)
+            build_run_config({"epochs": 25, "opt.warmup_epochs": 25})
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            small_config(wd_start=0.0)
+            OptimizerConfig(wd_start=0.0)
 
     def test_betas_bounded(self):
         with pytest.raises(ValueError, match="betas"):
-            small_config(betas=(0.9, 1.0))
+            OptimizerConfig(beta2=1.0)
 
     def test_step_counts(self):
         config = small_config()
@@ -158,7 +160,7 @@ class TestAdamwStep:
         params = ScalarParams(1.5, bias=-0.25)
         state = OptState.init(params)
         applied = adamw_step(params, {}, state, lr=1e-3, wd=0.0,
-                             config=small_config())
+                             config=OptimizerConfig())
         assert applied
         assert params["w"].data[0, 0] == 1.5
         assert params["b"].data[0] == -0.25
@@ -166,13 +168,13 @@ class TestAdamwStep:
 
     def test_two_step_manual_trace(self):
         """Spreadsheet-style recurrence on one scalar weight."""
-        config = small_config()
+        config = OptimizerConfig()
         params = ScalarParams(2.0)
         state = OptState.init(params)
         grads = [0.5, -1.0]
         theta, m, v = 2.0, 0.0, 0.0
         lr, wd, eps = 0.01, 0.1, config.eps
-        b1, b2 = config.betas
+        b1, b2 = config.beta1, config.beta2
         for t, g in enumerate(grads, start=1):
             adamw_step(params, {"w": np.array([[g]])}, state, lr, wd, config)
             m = b1 * m + (1 - b1) * g
@@ -188,14 +190,14 @@ class TestAdamwStep:
         on decayed parameters and a no-op on exempt ones."""
         params = ScalarParams(4.0, bias=3.0)
         state = OptState.init(params)
-        adamw_step(params, {}, state, lr=0.25, wd=0.1, config=small_config())
+        adamw_step(params, {}, state, lr=0.25, wd=0.1, config=OptimizerConfig())
         assert params["w"].data[0, 0] == pytest.approx(4.0 * (1 - 0.25 * 0.1), rel=1e-12)
         assert params["b"].data[0] == 3.0
 
     def test_exemption_list(self):
         """1-d tensors and the two tokens never decay."""
         params = micro_params(1)
-        config = small_config()
+        config = OptimizerConfig()
         state = OptState.init(params)
         before = {n: t.data.copy() for n, t in params.named_parameters()}
         adamw_step(params, {}, state, lr=0.1, wd=0.4, config=config)
@@ -216,7 +218,7 @@ class TestAdamwStep:
         bad = {"w": np.array([[np.nan]])}
         with caplog.at_level(logging.WARNING, logger="vidcorr.optimizer"):
             applied = adamw_step(params, bad, state, lr=0.1, wd=0.1,
-                                 config=small_config())
+                                 config=OptimizerConfig())
         assert not applied
         assert params["w"].data[0, 0] == 1.0
         assert state.step == 0
@@ -226,10 +228,10 @@ class TestAdamwStep:
         params = ScalarParams(1.0)
         state = OptState.init(params)
         with pytest.raises(ValueError, match="shape"):
-            adamw_step(params, {"w": np.zeros(3)}, state, 0.1, 0.0, small_config())
+            adamw_step(params, {"w": np.zeros(3)}, state, 0.1, 0.0, OptimizerConfig())
 
     def test_deterministic_across_runs(self):
-        config = small_config()
+        config = OptimizerConfig()
         g = np.random.default_rng(2)
         grads = {n: g.normal(size=t.shape)
                  for n, t in micro_params(3).named_parameters()}
@@ -244,7 +246,7 @@ class TestAdamwStep:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
     def test_gradient_dict_order_irrelevant(self):
-        config = small_config()
+        config = OptimizerConfig()
         g = np.random.default_rng(4)
         items = [(n, g.normal(size=t.shape))
                  for n, t in micro_params(5).named_parameters()]
@@ -262,7 +264,7 @@ class TestAdamwStep:
         params = ScalarParams(3.0)
         state = OptState.init(params)
         grad = {"w": np.array([[2.0 * 3.0]])}
-        adamw_step(params, grad, state, lr=1e-3, wd=0.0, config=small_config())
+        adamw_step(params, grad, state, lr=1e-3, wd=0.0, config=OptimizerConfig())
         x = params["w"].data[0, 0]
         assert x ** 2 < 9.0
 
@@ -274,7 +276,7 @@ class TestOptStateSerialization:
         g = np.random.default_rng(7)
         grads = {n: g.normal(size=t.shape) for n, t in params.named_parameters()}
         for _ in range(2):
-            adamw_step(params, grads, state, 1e-3, 0.1, small_config())
+            adamw_step(params, grads, state, 1e-3, 0.1, OptimizerConfig())
         blob = named_list_bytes(state.to_named_list())
         items, _ = parse_named_list(blob)
         back = OptState.from_named_list(items)

@@ -76,7 +76,7 @@ class TestInitLabels:
     """Majority-vote downsampling to the feature grid."""
 
     def test_uniform_background(self):
-        lm = init_labels(np.zeros((8, 8), dtype=np.int32), (4, 4), num_classes=3)
+        lm = init_labels(np.zeros((8, 8), dtype=np.int32), (4, 4))
         assert np.array_equal(lm.grid[:, :, 0], np.ones((4, 4)))
 
     def test_aligned_mask_transfers_exactly(self):
@@ -105,8 +105,8 @@ class TestInitLabels:
             init_labels(np.zeros((5, 4), dtype=int), (2, 2))
         with pytest.raises(ValueError):
             init_labels(np.zeros((4, 4)), (2, 2))  # float mask
-        with pytest.raises(ValueError):
-            init_labels(np.full((4, 4), 7), (2, 2), num_classes=3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            init_labels(np.full((4, 4), -1), (2, 2))
 
 
 class TestPropagateFrame:
