@@ -214,21 +214,21 @@ def _flatten_patches(images, patch_size):
     return x.reshape(b, h * w, patch_size * patch_size * chans)
 
 
-def patchify_batch(images, params, config):
+def patchify_batch(images, params, config, pos=None):
     """Embed a stack of same-size crops: linear patch projection, class
-    token prepended, position embedding added."""
+    token prepended, position embedding added. pos: the stack's
+    patch_pos_embed, when the caller already has it."""
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3:
         raise ValueError(f"expected (batch, H, W, 3) images, got {images.shape}")
     b = images.shape[0]
     grid = config.token_grid(images.shape[1], images.shape[2])
-    p = grid[0] * grid[1]
     d = config.embed_dim
 
     flat = _flatten_patches(images.astype(params["patch_proj/weight"].dtype), config.patch_size)
     tokens = linear(as_tensor(flat), params["patch_proj/weight"],
                     params["patch_proj/bias"])  # (B, P, D)
-    tokens = add(tokens, patch_pos_embed(params, config, grid))
+    tokens = add(tokens, patch_pos_embed(params, config, grid) if pos is None else pos)
 
     cls_vec = add(params["cls_token"], params["pos_embed/cls"])
     cls_tok = add(Tensor(np.zeros((b, 1, d), dtype=tokens.dtype)), cls_vec)
@@ -365,18 +365,36 @@ def forward_batch(seq, params, config, rows=None):
     return cls_logits, narrow(logits, 1, 1, seq.num_patches)
 
 
+# Most tokens one inference forward takes: a video's frames go through
+# the encoder in stacks of as many as fit (at least one), which saves
+# per-call work on small frames, while the (heads, N, N) attention
+# scores of large ones stay in cache.
+_FEATURE_TOKENS = 256
+
+
 def extract_inference_features(images, params, config):
     """Patch-token activations after block ``inference_layer``, on the
     token grid, l2-normalized per position: (h_tok, w_tok, D) for one
-    (H, W, 3) image, (B, h_tok, w_tok, D) for a (B, H, W, 3) stack. The
-    stack goes through one forward, and each of its images gets the same
-    bits as alone. Runs outside the autodiff graph."""
+    (H, W, 3) image, (T, h_tok, w_tok, D) for a video's (T, H, W, 3)
+    frames. The frames go through the encoder in stacks of at most
+    _FEATURE_TOKENS tokens with the position embedding resized once,
+    and each gets the same bits as alone. Runs outside the autodiff
+    graph."""
     images = np.asarray(images)
+    if images.ndim not in (3, 4) or images.shape[-1] != 3:
+        raise ValueError(f"expected (H, W, 3) or (T, H, W, 3) images, got {images.shape}")
     single = images.ndim == 3
+    frames = images[None] if single else images
+    grid = config.token_grid(frames.shape[1], frames.shape[2])
+    p = grid[0] * grid[1]
+    per_forward = max(1, _FEATURE_TOKENS // (1 + p))
+    out = np.empty((len(frames), p, config.embed_dim), dtype=params["patch_proj/weight"].dtype)
     with no_grad():
-        seq = patchify_batch(images[None] if single else images, params, config)
-        x = _run_blocks(seq, params, config, config.inference_layer)
-        h, w = seq.grid
-        flat = reshape(narrow(x, 1, 1, h * w), (seq.batch * h * w, config.embed_dim))
-        shape = (h, w, config.embed_dim)
-        return reshape(l2_normalize_rows(flat), shape if single else (seq.batch,) + shape)
+        pos = patch_pos_embed(params, config, grid)
+        for start in range(0, len(frames), per_forward):
+            seq = patchify_batch(frames[start:start + per_forward], params, config, pos)
+            x = _run_blocks(seq, params, config, config.inference_layer)
+            flat = reshape(narrow(x, 1, 1, p), (seq.batch * p, config.embed_dim))
+            out[start:start + seq.batch] = l2_normalize_rows(flat).data.reshape(seq.batch, p, -1)
+    out = out.reshape((len(frames),) + grid + (config.embed_dim,))
+    return Tensor(out[0] if single else out)

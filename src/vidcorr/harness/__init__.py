@@ -582,34 +582,21 @@ def _frame_mask(source, i, frame_shape):
     return mask
 
 
-# Most tokens one inference forward takes: frames of a video go through
-# the encoder in stacks of as many as fit (at least one), which saves
-# per-call work on small frames, while the (heads, N, N) attention
-# scores of large ones stay in cache.
-_FEATURE_TOKENS = 256
-
-
 def predict_masks(source, params, model_config, prop_config):
     """Object-id masks for every frame of a VideoSource, propagated from
-    its first-frame mask over the encoder's inference features. The
-    frames are encoded in stacks of at most _FEATURE_TOKENS tokens,
-    which gives each frame the same bits as encoding it alone."""
+    its first-frame mask over the encoder's inference features."""
     if not source.has_masks:
         raise ValueError(f"{source.directory} carries no first-frame mask")
     first = source[0]
-    grid = model_config.token_grid(*first.shape[:2])
-    per_forward = max(1, _FEATURE_TOKENS // (1 + grid[0] * grid[1]))
-    features = []
-    for start in range(0, len(source), per_forward):
-        frames = []
-        for i in range(start, min(start + per_forward, len(source))):
-            frame = source[i] if i else first
-            if frame.shape != first.shape:
-                raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
-                                 f"differs from the first frame's {first.shape[:2]}")
-            frames.append(frame)
-        features.extend(extract_inference_features(np.stack(frames), params,
-                                                   model_config).data)
+    frames = [first]
+    for i in range(1, len(source)):
+        frame = source[i]
+        if frame.shape != first.shape:
+            raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
+                             f"differs from the first frame's {first.shape[:2]}")
+        frames.append(frame)
+    features = extract_inference_features(np.stack(frames), params, model_config).data
+    grid = features.shape[1:3]
     # the token grid covers the frame exactly (token_grid rejects the rest)
     frame_shape = (grid[0] * model_config.patch_size, grid[1] * model_config.patch_size)
     label_maps = propagate_video(features, _frame_mask(source, 0, frame_shape), prop_config)

@@ -24,62 +24,70 @@ def _check_shapes(pred, truth):
         raise ValueError(f"mask shapes differ: {p.shape} vs {t.shape}")
 
 
+def _per_frame(values):
+    """A float for one frame's 0-d result, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
+
+
 def region_similarity_J(pred, truth, object_id):
-    """Intersection over union of the object's binary masks.
+    """Intersection over union of the object's binary masks, for one
+    (H, W) frame or per frame of (T, H, W) stacks.
 
     Both masks empty counts as a perfect 1; exactly one empty is 0."""
     _check_shapes(pred, truth)
     p = _binary(pred, object_id)
     t = _binary(truth, object_id)
-    union = np.logical_or(p, t).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(p, t).sum() / union)
+    union = np.logical_or(p, t).sum(axis=(-2, -1))
+    inter = np.logical_and(p, t).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _per_frame(np.where(union == 0, 1.0, inter / union))
 
 
 def boundary_pixels(binary):
-    """Foreground cells 4-adjacent to non-foreground; cells outside the
-    grid count as non-foreground, so edge-touching objects still have a
-    boundary there."""
+    """Foreground cells 4-adjacent to non-foreground, over the last two
+    axes; cells outside the grid count as non-foreground, so
+    edge-touching objects still have a boundary there."""
     fg = np.asarray(binary, dtype=bool)
-    padded = np.zeros((fg.shape[0] + 2, fg.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = fg
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    padded = np.zeros(fg.shape[:-2] + (fg.shape[-2] + 2, fg.shape[-1] + 2), dtype=bool)
+    padded[..., 1:-1, 1:-1] = fg
+    interior = (padded[..., :-2, 1:-1] & padded[..., 2:, 1:-1]
+                & padded[..., 1:-1, :-2] & padded[..., 1:-1, 2:])
     return fg & ~interior
 
 
 def default_tolerance(shape):
-    """ceil(0.008 * image diagonal), at least one pixel."""
-    diag = math.hypot(shape[0], shape[1])
+    """ceil(0.008 * image diagonal), at least one pixel; the image is
+    the last two axes of shape."""
+    diag = math.hypot(shape[-2], shape[-1])
     return max(1, math.ceil(0.008 * diag))
 
 
 def dilate(binary, tolerance):
-    """Cells within Euclidean distance `tolerance` of a foreground cell:
-    the union of the grid shifted by every integer offset (dy, dx) with
-    sqrt(dy**2 + dx**2) <= tolerance, the test a distance transform
-    thresholded at `tolerance` makes."""
+    """Cells within Euclidean distance `tolerance` of a foreground cell,
+    over the last two axes: the union of the grid shifted by every
+    integer offset (dy, dx) with sqrt(dy**2 + dx**2) <= tolerance, the
+    test a distance transform thresholded at `tolerance` makes."""
     fg = np.asarray(binary, dtype=bool)
-    h, w = fg.shape
+    h, w = fg.shape[-2:]
     reach = max(0, min(math.floor(tolerance), max(h, w)))  # farther shifts leave the grid
     steps = np.arange(-reach, reach + 1)
     dy, dx = np.meshgrid(steps, steps, indexing="ij")
     disk = np.sqrt(dy * dy + dx * dx) <= tolerance
-    padded = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
-    padded[reach:reach + h, reach:reach + w] = fg
+    padded = np.zeros(fg.shape[:-2] + (h + 2 * reach, w + 2 * reach), dtype=bool)
+    padded[..., reach:reach + h, reach:reach + w] = fg
     out = np.zeros_like(fg)
     for y, x in zip(dy[disk].tolist(), dx[disk].tolist()):
-        out |= padded[reach + y:reach + y + h, reach + x:reach + x + w]
+        out |= padded[..., reach + y:reach + y + h, reach + x:reach + x + w]
     return out
 
 
 def contour_accuracy_F(pred, truth, object_id, tolerance=None):
-    """Boundary F-measure with distance-tolerance matching.
+    """Boundary F-measure with distance-tolerance matching, for one
+    (H, W) frame or per frame of (T, H, W) stacks.
 
     Precision: fraction of predicted boundary pixels within tolerance
     (Euclidean) of some truth boundary pixel; recall symmetric. Both
-    boundaries empty gives 1, a vanished P + R gives 0."""
+    boundaries empty gives 1, one empty or a vanished P + R gives 0."""
     _check_shapes(pred, truth)
     p = _binary(pred, object_id)
     t = _binary(truth, object_id)
@@ -87,15 +95,14 @@ def contour_accuracy_F(pred, truth, object_id, tolerance=None):
         tolerance = default_tolerance(p.shape)
     p_bnd = boundary_pixels(p)
     t_bnd = boundary_pixels(t)
-    if not p_bnd.any() and not t_bnd.any():
-        return 1.0
-    if not p_bnd.any() or not t_bnd.any():
-        return 0.0
-    precision = float(dilate(t_bnd, tolerance)[p_bnd].mean())
-    recall = float(dilate(p_bnd, tolerance)[t_bnd].mean())
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    p_count = p_bnd.sum(axis=(-2, -1))
+    t_count = t_bnd.sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = (dilate(t_bnd, tolerance) & p_bnd).sum(axis=(-2, -1)) / p_count
+        recall = (dilate(p_bnd, tolerance) & t_bnd).sum(axis=(-2, -1)) / t_count
+        f = 2.0 * precision * recall / (precision + recall)
+    f = np.where((p_count == 0) | (t_count == 0) | (precision + recall == 0), 0.0, f)
+    return _per_frame(np.where((p_count == 0) & (t_count == 0), 1.0, f))
 
 
 @dataclass
@@ -137,17 +144,18 @@ class SequenceScores:
 
 
 def score_track(pred_masks, truth_masks, object_id, sequence="seq"):
-    """J and F per frame for one object; frame 0 is the given label and
-    does not count."""
+    """J and F per frame for one object, over all frames at once; frame
+    0 is the given label and does not count."""
     if len(pred_masks) != len(truth_masks):
         raise ValueError(f"{len(pred_masks)} predictions for {len(truth_masks)} frames")
     if len(pred_masks) < 2:
         raise ValueError("a track needs at least one frame beyond the first")
-    js, fs = [], []
     for pred, truth in zip(pred_masks[1:], truth_masks[1:]):
-        js.append(region_similarity_J(pred, truth, object_id))
-        fs.append(contour_accuracy_F(pred, truth, object_id))
-    return TrackScores(sequence, object_id, js, fs)
+        _check_shapes(pred, truth)
+    pred, truth = np.stack(pred_masks[1:]), np.stack(truth_masks[1:])
+    return TrackScores(sequence, object_id,
+                       region_similarity_J(pred, truth, object_id).tolist(),
+                       contour_accuracy_F(pred, truth, object_id).tolist())
 
 
 def aggregate(tracks):

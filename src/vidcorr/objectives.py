@@ -51,7 +51,7 @@ class TeacherState:
     Teacher parameters never carry a gradient graph; every update is a
     plain numpy assignment between training steps."""
 
-    def __init__(self, params, momentum=0.996, center_momentum=0.9):
+    def __init__(self, params, momentum, center_momentum):
         if any(t.requires_grad for _, t in params.named_parameters()):
             raise ValueError("teacher parameters must not track gradients")
         self.params = params
@@ -63,7 +63,7 @@ class TeacherState:
         self.center_patch = Tensor(np.zeros(k, dtype=dtype), name="center_patch")
 
     @classmethod
-    def from_student(cls, student_params, momentum=0.996, center_momentum=0.9):
+    def from_student(cls, student_params, momentum, center_momentum):
         return cls(student_params.clone(requires_grad=False), momentum, center_momentum)
 
 

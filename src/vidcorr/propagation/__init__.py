@@ -7,9 +7,9 @@ context frames, softmaxes them at a small temperature, and emits the
 weighted combination of the corresponding label vectors.
 
 The per-frame work is one numpy kernel that follows the float64 recipe
-in _recipe.md bit for bit: a BLAS product ranks candidates only
+in _recipe.md bit for bit: a float32 BLAS product ranks candidates only
 approximately, an error bound keeps every candidate that could reach the
-top_k, and those few are recomputed and ranked exactly.
+top_k, and those few are recomputed and ranked exactly in float64.
 """
 
 import logging
@@ -61,7 +61,9 @@ class PropagationConfig:
 
 @dataclass
 class FeatureMap:
-    """h*w grid of unit-norm feature vectors for one frame."""
+    """h*w grid of unit-norm feature vectors for one frame; max_norm is
+    the largest row norm, which the candidate search's error bound
+    reads."""
 
     grid: np.ndarray
 
@@ -70,9 +72,10 @@ class FeatureMap:
         if self.grid.ndim != 3:
             raise ValueError(f"feature grid must be (h, w, d), got shape {self.grid.shape}")
         norms = np.sqrt((self.grid * self.grid).sum(axis=-1))
-        if not np.allclose(norms, 1.0, atol=1e-5):
-            worst = float(np.abs(norms - 1.0).max())
+        worst = float(np.abs(norms - 1.0).max(initial=0.0))
+        if not worst <= 1e-5 + 1e-5:  # NaN fails too
             raise ValueError(f"feature vectors must be unit norm (worst deviation {worst:.2e})")
+        self.max_norm = float(norms.max(initial=0.0))
 
 
 @dataclass
@@ -87,9 +90,8 @@ class LabelMap:
             raise ValueError(f"label grid must be (h, w, c), got shape {self.grid.shape}")
         if self.grid.min() < 0.0:
             raise ValueError("label probabilities must be nonnegative")
-        sums = self.grid.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
-            worst = float(np.abs(sums - 1.0).max())
+        worst = float(np.abs(self.grid.sum(axis=-1) - 1.0).max(initial=0.0))
+        if not worst <= 1e-6 + 1e-5:  # NaN fails too
             raise ValueError(f"label cells must sum to 1 (worst deviation {worst:.2e})")
 
 
@@ -149,114 +151,181 @@ def _rows_per_tile(h, w, frames, radius):
     return rows
 
 
-def _survivors(target, context, radius, top_k):
+# float32's unit roundoff, and its smallest normal: the largest error of
+# rounding a float64 to float32 (or of a float32 product) is relative in
+# the normal range and absolute below it, whether the value becomes a
+# subnormal or is flushed to zero
+_U32 = 2.0 ** -24
+_ETA32 = 2.0 ** -126
+
+
+def _gamma(m, u):
+    return m * u / (1.0 - m * u)
+
+
+def _search_margin(d, t_norm, c_norm):
+    """How far below a target's k-th largest float32 search value a
+    candidate may sit and still reach the recipe's top_k (_recipe.md):
+    twice the largest gap between a float32 search value and the
+    recipe's float64 sum, for rows of length d and norms at most t_norm
+    (targets) and c_norm (candidates)."""
+    relative = (2.0 * _U32 + _U32 * _U32 + (1.0 + _U32) ** 2 * _gamma(d + 2, _U32)
+                + _gamma(d + 2, 2.0 ** -53))
+    absolute = _ETA32 * (2.0 * math.sqrt(d) * (t_norm + c_norm) + 3.0 * d)
+    return 2.0 * (relative * t_norm * c_norm + absolute)
+
+
+def _kept(values, top_k, margin, scratch):
+    """Flat indices of the entries of each row of float32 ``values``
+    that are at least the row's k-th largest value less ``margin``,
+    compared in float64; -inf entries are never kept. ``scratch`` is a
+    buffer of values' shape that the ranking overwrites."""
+    count = values.shape[1]
+    kk = min(top_k, count)
+    np.copyto(scratch, values)
+    scratch.partition(count - kk, axis=1)
+    floor = scratch[:, count - kk].astype(np.float64) - margin
+    # the least float32 >= floor, so that a float32 comparison against
+    # it is the float64 comparison; at least the least finite float32,
+    # so that a row with fewer than k finite values keeps all of them
+    bound = floor.astype(np.float32)
+    low = bound < floor
+    bound[low] = np.nextafter(bound[low], np.float32(np.inf))
+    np.maximum(bound, np.finfo(np.float32).min, out=bound)
+    return np.flatnonzero(values >= bound[:, None])
+
+
+def _survivors(target32, context32, radius, top_k, margin):
     """(target cell, flat context index) pairs that may reach a target's
-    top_k, found from BLAS similarities whose summation order differs
-    from the recipe.
+    top_k, found from float32 BLAS similarities (_recipe.md); target32
+    is (h*w, d), context32 (n, h, w, d).
 
-    Each approximate similarity lies within gamma_d*|t|*|c| of the
-    recipe's sequential sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), so every top_k member sits within twice that of the
-    k-th largest approximate value. The margin takes gamma for d + 2
-    terms, which also covers rounding in the norms, the margin itself and
-    the subtraction from the k-th value.
-
-    Each tile's product covers the context rows of its band. Where a
-    target's (2r+1)^2 window is at most three quarters of that band (a
-    small radius), each target's window entries are gathered into one
-    row and only they are ranked (_window_survivors); otherwise the band
-    is ranked whole, with out-of-window entries at -inf. Both rank the
-    same values with the same filter, so they keep the same pairs."""
-    n, h, w, d = context.shape
-    flat_target = target.reshape(h * w, d)
-    u = 2.0 ** -53
-    gamma = (d + 2) * u / (1.0 - (d + 2) * u)
-    t_norm = math.sqrt(float(np.einsum("ij,ij->i", flat_target, flat_target).max()))
-    flat_context = context.reshape(n * h * w, d)
-    c_norm = math.sqrt(float(np.einsum("ij,ij->i", flat_context, flat_context).max()))
-    margin = 4.0 * gamma * t_norm * c_norm
-
+    Targets go in tiles of whole rows. A tile's product is target-major,
+    one row per target, so each target's k-th value and filter run
+    along a contiguous row. Where every target's window covers the grid
+    the row is the whole context; where a (2r+1)^2 window is at most
+    three quarters of the tile's band, the row is the target's window
+    slots alone (_window_survivors); otherwise it is the band, with
+    out-of-window entries at -inf. The window layout and the buffers
+    are built once per frame and shared by its tiles."""
+    n, h, w, d = context32.shape
     rows = _rows_per_tile(h, w, n, radius)
     side = 2 * radius + 1
-    x_near = np.abs(np.arange(w)[:, None] - np.arange(w)[None, :]) <= radius
+    band_rows = min(rows + 2 * radius, h)
+    whole = radius >= h - 1 and radius >= w - 1
+    if not whole and 4 * side * side <= 3 * band_rows * w:
+        return _window_survivors(context32, target32, rows, radius, top_k, margin)
+
+    product = np.empty(rows * w * n * band_rows * w, dtype=np.float32)
+    scratch = np.empty_like(product)
+    if not whole:
+        y_far = np.abs(np.arange(h)[:, None] - np.arange(h)[None, :]) > radius
+        x_far = np.abs(np.arange(w)[:, None] - np.arange(w)[None, :]) > radius
     cells, sources = [], []
     for y0 in range(0, h, rows):
         y1 = min(y0 + rows, h)
+        tile = (y1 - y0) * w
         lo, hi = max(y0 - radius, 0), min(y1 - 1 + radius, h - 1) + 1
         band = (hi - lo) * w
-        band_context = context[:, lo:hi].reshape(n, band, d)
-        tile_target = flat_target[y0 * w:y1 * w]
-        if 4 * side * side <= 3 * band:
-            cell, source = _window_survivors(band_context, tile_target, y0, lo, h, w,
-                                             radius, top_k, margin)
-        else:
-            # (context cell in band, target cell in tile), one block per frame
-            sims = np.matmul(band_context, tile_target.T)
-            y_near = np.abs(np.arange(lo, hi)[:, None] - np.arange(y0, y1)[None, :]) <= radius
-            near = (y_near[:, None, :, None] & x_near[None, :, None, :]).reshape(band, -1)
-            np.copyto(sims, -np.inf, where=~near)
-            sims = sims.reshape(n * band, -1)
-            kk = min(top_k, n * band)
-            kth = np.partition(sims, n * band - kk, axis=0)[n * band - kk]
-            keep = (sims >= kth - margin) & (sims > -np.inf)
-            col, cell = np.divmod(np.flatnonzero(keep), len(tile_target))
-            source = (col // band) * (h * w) + lo * w + col % band
+        sims = product[:tile * n * band].reshape(tile, n, band)
+        np.matmul(target32[y0 * w:y1 * w], context32[:, lo:hi].reshape(n, band, d)
+                  .transpose(0, 2, 1), out=sims.transpose(1, 0, 2))
+        if not whole:
+            far = (y_far[y0:y1, None, lo:hi, None] | x_far[None, :, None, :]).reshape(tile, 1, band)
+            np.copyto(sims, -np.inf, where=far)
+        sims = sims.reshape(tile, n * band)
+        cell, col = np.divmod(_kept(sims, top_k, margin, scratch[:sims.size].reshape(sims.shape)),
+                              n * band)
+        frame, slot = np.divmod(col, band)
         cells.append(y0 * w + cell)
-        sources.append(source)
+        sources.append(frame * (h * w) + lo * w + slot)
     return np.concatenate(cells), np.concatenate(sources)
 
 
-def _window_survivors(band_context, tile_target, y0, lo, h, w, radius, top_k, margin):
-    """_survivors for one tile, ranked over each target's window only:
-    (target cell in tile, flat context index) pairs.
+def _window_survivors(context, target, rows, radius, top_k, margin):
+    """_survivors ranked over each target's window slots alone, for
+    float32 context (n, h, w, d) and flat targets (h*w, d).
 
-    The tile's band product is laid out as in _survivors, each frame's
-    block followed by one -inf. Each target's (frame, window slot)
-    entries are gathered into one row, slots outside the grid pointing
-    at the -inf, so the k-th value and the filter run along rows of
-    n*(2r+1)^2 entries rather than columns of the whole band."""
-    n, band, _ = band_context.shape
-    tile = len(tile_target)
-    block = band * tile + 1
-    product = np.empty((n, block))
-    product[:, -1] = -np.inf
-    np.matmul(band_context, tile_target.T, out=product[:, :-1].reshape(n, band, tile))
-
-    side = 2 * radius + 1
-    dy, dx = np.divmod(np.arange(side * side), side)
-    ty, tx = np.divmod(np.arange(y0 * w, y0 * w + tile), w)
-    cy = ty[:, None] + (dy - radius)
-    cx = tx[:, None] + (dx - radius)
-    grid_cell = cy * w + cx
-    inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-    at = np.where(inside, (grid_cell - lo * w) * tile + np.arange(tile)[:, None], block - 1)
-    slots = product.reshape(-1).take(at[:, None, :] + np.arange(0, n * block, block)[:, None])
-    slots = slots.reshape(tile, -1)  # (target, frame * slot)
-
-    count = slots.shape[1]
-    kk = min(top_k, count)
-    kth = np.partition(slots, count - kk, axis=1)[:, count - kk]
-    keep = (slots >= (kth - margin)[:, None]) & (slots > -np.inf)
-    cell, slot = np.divmod(np.flatnonzero(keep), count)
-    frame, slot = np.divmod(slot, side * side)
-    return cell, frame * (h * w) + grid_cell[cell, slot]
-
-
-def _propagate(target, context, labels, radius, top_k, temperature):
-    """(h, w, c) labels for target (h, w, d) from context (n, h, w, d)
-    and its labels (n, h, w, c), all float64, bitwise as in _recipe.md."""
+    Every tile's product covers the same 2r + rows band rows, centred
+    on the tile, one block per (target, frame) followed by one -inf;
+    band rows outside the grid hold -inf. So the gather index from a
+    target's (frame, window slot) into its product is the same for
+    every tile, and is built once: a slot outside the grid in x points
+    at the block's -inf, one outside in y at a -inf row. Each target's
+    n*(2r+1)^2 gathered slots form one row."""
     n, h, w, d = context.shape
-    c = labels.shape[3]
-    cells, sources = _survivors(target, context, radius, top_k)
+    side = 2 * radius + 1
+    band_rows = rows + 2 * radius
+    block = band_rows * w + 1
+    tile = rows * w
 
-    # exact similarities, summed over d in index order
-    t_rows = np.ascontiguousarray(target.reshape(h * w, d)[cells].T)
-    c_rows = np.ascontiguousarray(context.reshape(n * h * w, d)[sources].T)
+    dy, dx = np.divmod(np.arange(side * side), side)
+    ty, tx = np.divmod(np.arange(tile), w)
+    cx = tx[:, None] + (dx - radius)
+    rel = np.where((cx >= 0) & (cx < w), (ty[:, None] + dy) * w + cx, block - 1)
+    at = (np.arange(tile)[:, None, None] * (n * block) + np.arange(0, n * block, block)[:, None]
+          + rel[:, None, :]).reshape(tile, n * side * side)
+
+    product = np.empty((tile, n, block), dtype=np.float32)
+    product[:, :, -1] = -np.inf
+    slots = np.empty(at.shape, dtype=np.float32)
+    scratch = np.empty_like(slots)
+    flat = product.reshape(-1)
+    cells, sources = [], []
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        count = (y1 - y0) * w
+        # band rows [a, b) of the tile's band lie inside the grid
+        a, b = max(radius - y0, 0), min(h - y0 + radius, band_rows)
+        if a or b < band_rows:
+            product[:count, :, :a * w] = -np.inf
+            product[:count, :, b * w:-1] = -np.inf
+        np.matmul(target[y0 * w:y1 * w],
+                  context[:, y0 - radius + a:y0 - radius + b].reshape(n, (b - a) * w, d)
+                  .transpose(0, 2, 1),
+                  out=product[:count, :, a * w:b * w].transpose(1, 0, 2))
+        tile_slots = slots[:count]
+        np.take(flat, at[:count], out=tile_slots, mode="clip")
+        cell, slot = np.divmod(_kept(tile_slots, top_k, margin, scratch[:count]),
+                               at.shape[1])
+        frame, slot = np.divmod(slot, side * side)
+        sy, sx = np.divmod(slot, side)
+        cells.append(y0 * w + cell)
+        sources.append(frame * (h * w) + (y0 + cell // w + sy - radius) * w
+                       + cell % w + sx - radius)
+    return np.concatenate(cells), np.concatenate(sources)
+
+
+def _propagate(target, grids, labels, margin, radius, top_k, temperature):
+    """(h, w, c) labels for target (h, w, d) from the context's n
+    (h, w, d) feature grids and their labels (n, h, w, c), all float64,
+    bitwise as in _recipe.md; margin is the search's _search_margin."""
+    n = len(grids)
+    h, w, d = target.shape
+    c = labels.shape[3]
+    context32 = np.empty((n, h, w, d), dtype=np.float32)
+    for i, grid in enumerate(grids):
+        context32[i] = grid
+    cells, sources = _survivors(target.reshape(h * w, d).astype(np.float32), context32,
+                                radius, top_k, margin)
+    del context32  # the exact step reuses its memory rather than growing the heap
+
+    # exact similarities: the products, then their sum over d in index
+    # order, starting from 0.0; survivors in source order, so that each
+    # frame's rows are gathered into one slice
+    by_source = np.argsort(sources, kind="stable")
+    cells, sources = cells[by_source], sources[by_source]
+    frames, grid_cells = np.divmod(sources, h * w)
+    bounds = np.searchsorted(sources, np.arange(n + 1) * (h * w)).tolist()
+    terms = np.empty((len(cells), d))
+    for i, grid in enumerate(grids):
+        np.take(grid.reshape(h * w, d), grid_cells[bounds[i]:bounds[i + 1]], axis=0,
+                out=terms[bounds[i]:bounds[i + 1]], mode="clip")
+    terms *= target.reshape(h * w, d)[cells]
     sims = np.zeros(len(cells))
     for k in range(d):
-        sims = sims + t_rows[k] * c_rows[k]
+        sims += terms[:, k]
 
-    frames, grid_cells = np.divmod(sources, h * w)
     order = np.lexsort((grid_cells, -frames, -sims, cells))
     cells, sims, sources = cells[order], sims[order], sources[order]
     counts = np.bincount(cells, minlength=h * w)
@@ -305,10 +374,11 @@ def propagate_frame(target, context, config):
                     "using all of them", config.top_k, n)
         _shortage_logged = True
 
-    context_feats = np.stack([feats.grid for feats, _ in context], axis=0)
     context_labels = np.stack([labels.grid for _, labels in context], axis=0)
-    out = _propagate(target.grid, context_feats, context_labels,
-                     config.radius, config.top_k, config.temperature)
+    margin = _search_margin(target.grid.shape[2], target.max_norm,
+                            max(feats.max_norm for feats, _ in context))
+    out = _propagate(target.grid, [feats.grid for feats, _ in context], context_labels,
+                     margin, config.radius, config.top_k, config.temperature)
     return LabelMap(out)
 
 

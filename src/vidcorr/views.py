@@ -260,8 +260,7 @@ def _place_blocks(grid_side, count, rng):
     return mask.reshape(-1)
 
 
-def sample_clip_masks(num_tokens, clip_len, rng, gate_probability=0.5,
-                      r_range=(0.1, 0.5)):
+def sample_clip_masks(num_tokens, clip_len, rng, gate_probability, r_range):
     """Blockwise token masks of one clip sharing one gate and one ratio
     draw: a (clip_len, num_tokens) bool array, each row flat row-major
     over the square token grid.

@@ -153,7 +153,7 @@ def test_criterion_3_teacher_machinery(capsys):
     student_a = EncoderParams.init(config, Rng(1).substream("init"))
     student_b = EncoderParams.init(config, Rng(2).substream("init"))
     snap = {n: t.data.copy() for n, t in student_a.named_parameters()}
-    state = TeacherState.from_student(student_a, 0.996)
+    state = TeacherState.from_student(student_a, 0.996, 0.9)
     ema_update(state, student_b)
     ema_err = max(
         float(np.abs(t.data - (0.996 * snap[n] + 0.004
@@ -165,8 +165,8 @@ def test_criterion_3_teacher_machinery(capsys):
     logits = g.integers(-8, 9, size=(batch, k)).astype(np.float64)
     shift = g.integers(-4, 5, size=k).astype(np.float64)
     temps = TemperatureConfig()
-    plain = TeacherState.from_student(student_a, center_momentum=0.0)
-    shifted = TeacherState.from_student(student_a, center_momentum=0.0)
+    plain = TeacherState.from_student(student_a, 0.996, 0.0)
+    shifted = TeacherState.from_student(student_a, 0.996, 0.0)
     center_update(plain, Tensor(logits), Tensor(logits))
     center_update(shifted, Tensor(logits + shift), Tensor(logits + shift))
     d_plain = teacher_distribution(Tensor(logits), plain, temps, "cls").data
@@ -193,7 +193,7 @@ def test_criterion_4_affinity_contracts(capsys):
     for draw in range(1000):
         tokens = 16 if draw % 2 == 0 else 64
         draw_rng = rng.substream(f"draw{draw}")
-        pattern = sample_clip_masks(tokens, 1, draw_rng, gate_probability=1.0)[0]
+        pattern = sample_clip_masks(tokens, 1, draw_rng, 1.0, (0.1, 0.5))[0]
         # the ratio r, replayed from the substream the mask draw takes it from
         ratio = draw_rng.substream("ratio").uniform(0.1, 0.5)
         k = int(pattern.sum())

@@ -439,9 +439,9 @@ class TestInferenceFeatures:
 
     @pytest.mark.parametrize("side", [32, 64])
     def test_stack_matches_frames_alone(self, side):
-        """A (B, H, W, 3) stack gets each frame's own bits, at the desk
-        model's 65 and 257 tokens per frame, up to stacks far past the
-        256-token forwards predict_masks builds."""
+        """A (T, H, W, 3) video gets each frame's own bits, at the desk
+        model's 65 and 257 tokens per frame, for videos shorter than,
+        as long as and longer than one 256-token forward."""
         config = ModelConfig(patch_size=4, embed_dim=32, depth=2, heads=4, proj_dim=64,
                              proj_hidden=128, pe_base_resolution=4, inference_layer=2)
         params = EncoderParams.init(config, Rng(4), requires_grad=False)

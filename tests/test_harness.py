@@ -692,9 +692,12 @@ class TestEvaluation:
             assert again.f_frames == track.f_frames
 
     def test_frames_are_encoded_in_token_budget_stacks(self, tmp_path, monkeypatch):
-        """32 px frames at 4 px patches hold 65 tokens, so predict_masks
-        encodes them three to a forward: a 7-frame video goes 3 + 3 + 1
-        and gets the masks that encoding each frame alone gives."""
+        """32 px frames at 4 px patches hold 65 tokens, so
+        extract_inference_features encodes a video's frames three to a
+        forward: predict_masks hands it a 7-frame video once, which goes
+        3 + 3 + 1 with one position-embedding resize, and gets the masks
+        that encoding each frame alone gives."""
+        import vidcorr.encoder as encoder
         import vidcorr.harness as harness
 
         g = np.random.default_rng(11)
@@ -707,18 +710,33 @@ class TestEvaluation:
                                     requires_grad=False)
         prop = PropagationConfig(top_k=3, context_size=2, radius=2)
 
-        stacks = []
-        extract = harness.extract_inference_features
+        videos, stacks, resizes = [], [], []
+        extract, patchify = harness.extract_inference_features, encoder.patchify_batch
+        resize = encoder.patch_pos_embed
 
         def recording(images, *args):
-            stacks.append(len(images))
+            videos.append(len(images))
             return extract(images, *args)
 
+        def patchify_recording(images, *args):
+            stacks.append(len(images))
+            return patchify(images, *args)
+
+        def resize_recording(*args):
+            resizes.append(args[2])
+            return resize(*args)
+
         monkeypatch.setattr(harness, "extract_inference_features", recording)
+        monkeypatch.setattr(encoder, "patchify_batch", patchify_recording)
+        monkeypatch.setattr(encoder, "patch_pos_embed", resize_recording)
         masks = harness.predict_masks(source, params, run.model, prop)
-        assert stacks == [3, 3, 1]
+        assert videos == [7] and stacks == [3, 3, 1] and resizes == [(8, 8)]
 
         alone = [extract(source[i], params, run.model).data for i in range(len(source))]
+        together = extract(np.stack([source[i] for i in range(len(source))]), params,
+                           run.model).data
+        for got, want in zip(together, alone):
+            assert np.array_equal(got, want)
         want = [harness.labels_to_mask(m, run.model.patch_size)
                 for m in propagate_video(alone, first, prop)]
         assert len(masks) == len(want) == 7

@@ -266,6 +266,30 @@ class TestTracksAndAggregates:
         with pytest.raises(ValueError, match="predictions"):
             score_track([grid, grid], [grid], 1)
 
+    @pytest.mark.parametrize("side, tolerance", [(24, 1), (100, 2)])
+    def test_track_matches_frames_scored_alone(self, side, tolerance):
+        """score_track scores a track's frames as one stack; each frame's
+        J and F equal, bit for bit, what the one-frame functions give,
+        with the object absent from the prediction, the truth or both
+        and with objects that touch the grid edge."""
+        assert default_tolerance((side, side)) == tolerance
+        rng = np.random.default_rng(side)
+        masks = rng.integers(0, 3, size=(2, 9, side, side))
+        pred, truth = list(masks[0]), list(masks[1])
+        pred[2][pred[2] == 1] = 0
+        truth[3][truth[3] == 1] = 0
+        pred[4][pred[4] == 1] = 0
+        truth[4][truth[4] == 1] = 0
+        pred[5] = square(side, side, 0, side // 2, 0, 3)
+        truth[5] = square(side, side, 1, side // 2 + 2, 0, 5)
+        track = score_track(pred, truth, 1)
+        js = [region_similarity_J(p, t, 1) for p, t in zip(pred[1:], truth[1:])]
+        fs = [contour_accuracy_F(p, t, 1) for p, t in zip(pred[1:], truth[1:])]
+        assert all(type(v) is float for v in track.j_frames + track.f_frames)
+        assert track.j_frames == js and track.f_frames == fs
+        assert (js[1], js[3], fs[3]) == (0.0, 1.0, 1.0)
+        assert 0.0 < js[4] < 1.0 and 0.0 < fs[4] <= 1.0
+
     def test_all_perfect_scores(self):
         tracks = [TrackScores("a", 1, [1.0, 1.0], [1.0, 1.0]),
                   TrackScores("a", 2, [1.0], [1.0])]

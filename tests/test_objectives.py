@@ -44,6 +44,9 @@ from vidcorr.objectives import (
 from vidcorr.harness import RunConfig, step_losses
 from vidcorr.views import ViewConfig, make_frame_pairs
 
+# the run knobs' one declaration: what a run passes when nothing is set
+RUN = RunConfig()
+
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=2, mlp_ratio=2,
              proj_layers=1, proj_dim=6, proj_hidden=12,
              pe_base_resolution=2, inference_layer=1)
@@ -92,7 +95,7 @@ class TestDistributions:
     def test_teacher_zero_center_unit_temperature(self):
         """exp([0, ln3, 0, 0]) = [1, 3, 1, 1] -> [1/6, 1/2, 1/6, 1/6]."""
         _, params = micro_params(0, requires_grad=False)
-        state = TeacherState(params)
+        state = TeacherState(params, RUN.ema_momentum, RUN.center_momentum)
         temps = TemperatureConfig(student=1.0, teacher=1.0)
         state.center_cls = Tensor(np.zeros(4))
         logits = Tensor(np.array([0.0, math.log(3.0), 0.0, 0.0]))
@@ -102,7 +105,7 @@ class TestDistributions:
 
     def test_center_subtracted_before_softmax(self):
         _, params = micro_params(1, requires_grad=False)
-        state = TeacherState(params)
+        state = TeacherState(params, RUN.ema_momentum, RUN.center_momentum)
         temps = TemperatureConfig(student=0.5, teacher=0.2)
         g = np.random.default_rng(3)
         center = g.normal(size=6)
@@ -116,7 +119,7 @@ class TestDistributions:
 
     def test_patch_kind_uses_patch_center(self):
         _, params = micro_params(2, requires_grad=False)
-        state = TeacherState(params)
+        state = TeacherState(params, RUN.ema_momentum, RUN.center_momentum)
         temps = TemperatureConfig()
         state.center_cls = Tensor(np.full(6, 100.0))
         state.center_patch = Tensor(np.zeros(6))
@@ -126,14 +129,14 @@ class TestDistributions:
 
     def test_unknown_kind_rejected(self):
         _, params = micro_params(3, requires_grad=False)
-        state = TeacherState(params)
+        state = TeacherState(params, RUN.ema_momentum, RUN.center_momentum)
         with pytest.raises(ValueError, match="kind"):
             teacher_distribution(Tensor(np.zeros(6)), state, TemperatureConfig(), "globals")
 
     def test_teacher_rejects_graph_tracking_logits(self):
         """The teacher side is stop-gradient by construction."""
         _, params = micro_params(4, requires_grad=False)
-        state = TeacherState(params)
+        state = TeacherState(params, RUN.ema_momentum, RUN.center_momentum)
         live = Tensor(np.zeros(6), requires_grad=True)
         with pytest.raises(ValueError, match="detached"):
             teacher_distribution(live, state, TemperatureConfig(), "cls")
@@ -375,7 +378,7 @@ class TestTotalLoss:
 class TestTeacherStateAndEma:
     def test_from_student_copies_without_graph(self):
         _, student = micro_params(20)
-        state = TeacherState.from_student(student)
+        state = TeacherState.from_student(student, RUN.ema_momentum, RUN.center_momentum)
         for (name, t), (_, s) in zip(state.params.named_parameters(),
                                      student.named_parameters()):
             assert not t.requires_grad, name
@@ -387,11 +390,11 @@ class TestTeacherStateAndEma:
     def test_rejects_graph_tracking_parameters(self):
         _, student = micro_params(21)
         with pytest.raises(ValueError, match="gradients"):
-            TeacherState(student)
+            TeacherState(student, RUN.ema_momentum, RUN.center_momentum)
 
     def test_momentum_one_freezes_teacher(self):
         _, student = micro_params(22)
-        state = TeacherState.from_student(student, momentum=1.0)
+        state = TeacherState.from_student(student, 1.0, RUN.center_momentum)
         before = {n: t.data.copy() for n, t in state.params.named_parameters()}
         _, other = micro_params(23)
         ema_update(state, other)
@@ -401,16 +404,20 @@ class TestTeacherStateAndEma:
     def test_momentum_zero_copies_student(self):
         _, student = micro_params(24)
         _, other = micro_params(25)
-        state = TeacherState.from_student(student, momentum=0.0)
+        state = TeacherState.from_student(student, 0.0, RUN.center_momentum)
         ema_update(state, other)
         for (name, t), (_, s) in zip(state.params.named_parameters(),
                                      other.named_parameters()):
             np.testing.assert_array_equal(t.data, s.data)
 
     def test_default_momentum_blend(self):
-        """0.996 * 0 + 0.004 * 1 = 0.004 on every element."""
+        """The run config's default EMA momentum, the one a run passes:
+        0.996 * 0 + 0.004 * 1 = 0.004 on every element. The teacher
+        itself declares no default."""
         _, student = micro_params(26)
-        state = TeacherState.from_student(student)
+        with pytest.raises(TypeError):
+            TeacherState.from_student(student)
+        state = TeacherState.from_student(student, RUN.ema_momentum, RUN.center_momentum)
         assert state.momentum == 0.996
         for _, t in state.params.named_parameters():
             t.data[...] = 0.0
@@ -424,13 +431,13 @@ class TestTeacherStateAndEma:
         _, student = micro_params(27)
         other_config = ModelConfig(**{**MICRO, "depth": 2})
         deeper = EncoderParams.init(other_config, Rng(1), dtype=np.float64)
-        state = TeacherState.from_student(student)
+        state = TeacherState.from_student(student, RUN.ema_momentum, RUN.center_momentum)
         with pytest.raises(ValueError, match="trees"):
             ema_update(state, deeper)
 
     def test_update_stays_outside_graph(self):
         _, student = micro_params(28)
-        state = TeacherState.from_student(student)
+        state = TeacherState.from_student(student, RUN.ema_momentum, RUN.center_momentum)
         ema_update(state, student)
         for _, t in state.params.named_parameters():
             assert not t.requires_grad
@@ -438,9 +445,11 @@ class TestTeacherStateAndEma:
 
 
 class TestCenterUpdate:
-    def state(self, seed, **momenta):
+    def state(self, seed, center_momentum=None):
         _, params = micro_params(seed, requires_grad=False)
-        return TeacherState(params, **momenta)
+        if center_momentum is None:
+            center_momentum = RUN.center_momentum
+        return TeacherState(params, RUN.ema_momentum, center_momentum)
 
     def test_momentum_zero_is_batch_mean(self):
         state = self.state(29, center_momentum=0.0)
@@ -460,8 +469,12 @@ class TestCenterUpdate:
         np.testing.assert_allclose(state.center_cls.data, 1.8, atol=1e-12)
 
     def test_default_momentum(self):
-        state = self.state(32)
-        assert state.center_momentum == 0.9
+        """The run config's default center momentum, the one a run
+        passes; the teacher itself declares no default."""
+        _, params = micro_params(32, requires_grad=False)
+        with pytest.raises(TypeError):
+            TeacherState(params, RUN.ema_momentum)
+        assert self.state(32).center_momentum == 0.9
 
     def test_empty_batch_rejected(self):
         state = self.state(33)
@@ -556,7 +569,8 @@ def pipeline_loss(student, teacher, temps, config, globals_, locals_, masks, pai
 class TestEndToEnd:
     def setup_method(self):
         self.config, self.student = micro_params(40)
-        self.teacher = TeacherState.from_student(self.student)
+        self.teacher = TeacherState.from_student(self.student, RUN.ema_momentum,
+                                                   RUN.center_momentum)
         self.temps = TemperatureConfig()
         g = np.random.default_rng(41)
         self.globals_ = g.uniform(size=(2, 4, 4, 3))
@@ -642,7 +656,8 @@ class TestStepLosses:
 
     def setup_method(self):
         self.config, self.student = micro_params(50)
-        self.teacher = TeacherState.from_student(self.student)
+        self.teacher = TeacherState.from_student(self.student, RUN.ema_momentum,
+                                                   RUN.center_momentum)
         g = np.random.default_rng(51)
         k = self.config.proj_dim
         self.teacher.center_cls.data = g.normal(scale=0.1, size=k)

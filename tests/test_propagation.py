@@ -221,6 +221,48 @@ class TestPropagateFrame:
         ref = propagate_frame_reference(target.grid, feats, labels, 3, 5, 0.07)
         assert np.array_equal(out.grid, ref)
 
+    @pytest.mark.parametrize("h, w, radius, frames, tile_elements", [
+        (7, 9, 8, 3, None),      # every window covers the grid
+        (9, 13, 5, 3, None),     # masked band, one tile
+        (9, 13, 5, 3, 1 << 10),  # masked band, one target row per tile
+        (9, 13, 2, 4, None),     # window slots
+        (9, 13, 1, 4, 1 << 10),  # window slots, one target row per tile
+    ])
+    def test_float32_search_below_float32_resolution(self, h, w, radius, frames,
+                                                     tile_elements, monkeypatch):
+        """Every row lies within about 1e-4 of one direction, turned by a
+        random rotation so that no coordinate is a float32: similarities
+        differ from one another by about 1e-8, below float32's spacing
+        near 1, so the float32 search values tie or misorder them. Only
+        a margin that covers the input rounding and float32 accumulation
+        keeps every candidate the recipe ranks into the top_k; every
+        cell matches the reference."""
+        if tile_elements is not None:
+            monkeypatch.setattr(propagation, "_TILE_ELEMENTS", tile_elements)
+            assert _rows_per_tile(h, w, frames, radius) == 1
+        rng = np.random.default_rng(h * radius + frames)
+        d = 8
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+
+        def near_tied(*shape):
+            g = np.concatenate([np.ones(shape + (1,)), 1e-4 * rng.normal(size=shape + (d - 1,))],
+                               axis=-1)
+            g = (g / np.sqrt((g * g).sum(axis=-1, keepdims=True))) @ rotation.T
+            assert not np.array_equal(g.astype(np.float32), g)
+            return g
+
+        target = FeatureMap(near_tied(h, w))
+        context = [(FeatureMap(near_tied(h, w)), LabelMap(random_onehot(rng, h, w, 3)))
+                   for _ in range(frames)]
+        feats, labels = stacked(context)
+        sims = np.einsum("yxk,fyxk->fyx", target.grid, feats)
+        assert 0.0 < 1.0 - sims.min() < 1e-6  # every candidate within float32's reach of 1
+        out = propagate_frame(target, context, PropagationConfig(top_k=5, radius=radius))
+        for y in range(h):
+            for x in range(w):
+                ref = reference_cell(y, x, target.grid, feats, labels, radius, 5, 0.07)
+                assert np.array_equal(out.grid[y, x], ref), (y, x)
+
     @pytest.mark.parametrize("frames", [1, 11])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_small_windows_match_oracle_on_every_cell(self, radius, frames, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from vidcorr.harness import RunConfig
 from vidcorr.numerics import Rng, bilinear_resize
 from vidcorr.views import (
     VideoSource,
@@ -22,6 +23,9 @@ from vidcorr.views import (
     write_ppm,
     write_video_dir,
 )
+
+# the run knobs' one declaration: what a run passes when nothing is set
+RUN = RunConfig()
 
 
 def toy_video(n_frames=100, h=40, w=48, seed=0):
@@ -271,17 +275,17 @@ class TestSampleMask:
     def test_gate_off_returns_none(self):
         outcomes = {True: 0, False: 0}
         for seed in range(60):
-            got = sample_clip_masks(16, 1, Rng(seed))
+            got = sample_clip_masks(16, 1, Rng(seed), RUN.gate_probability, RUN.mask_ratio)
             outcomes[got is None] += 1
         assert outcomes[True] > 10 and outcomes[False] > 10
 
     def test_gate_probability_one_always_masks(self):
         for seed in range(20):
-            assert sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0) is not None
+            assert sample_clip_masks(16, 1, Rng(seed), 1.0, RUN.mask_ratio) is not None
 
     def test_exact_count_every_draw(self):
         for seed in range(50):
-            masks = sample_clip_masks(64, 1, Rng(seed), gate_probability=1.0)
+            masks = sample_clip_masks(64, 1, Rng(seed), 1.0, RUN.mask_ratio)
             assert masks.shape == (1, 64) and masks.dtype == bool
             assert masks.sum() == int(round(64 * drawn_ratio(Rng(seed))))
 
@@ -290,14 +294,14 @@ class TestSampleMask:
         r of 0.3."""
         total = 0.0
         for seed in range(10_000):
-            total += sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0).mean()
+            total += sample_clip_masks(16, 1, Rng(seed), 1.0, RUN.mask_ratio).mean()
         assert abs(total / 10_000 - 0.3) < 0.01
 
     def test_half_ratio_is_blockwise(self):
         """K=8 on a 4x4 grid: cells arrive as rectangles, not salt."""
         pattern = None
         for seed in range(100):
-            cand = sample_clip_masks(16, 1, Rng(seed), gate_probability=1.0, r_range=(0.5, 0.5))
+            cand = sample_clip_masks(16, 1, Rng(seed), 1.0, (0.5, 0.5))
             if cand is not None and cand.sum() == 8:
                 pattern = cand[0]
                 break
@@ -309,7 +313,7 @@ class TestSampleMask:
     def test_rectangle_decomposition(self):
         """Greedy maximal-rectangle peeling covers the mask in far fewer
         rectangles than cells."""
-        pattern = sample_clip_masks(64, 1, Rng(3), gate_probability=1.0, r_range=(0.4, 0.5))[0]
+        pattern = sample_clip_masks(64, 1, Rng(3), 1.0, (0.4, 0.5))[0]
         grid = pattern.reshape(8, 8).copy()
         rects = 0
         while grid.any():
@@ -327,17 +331,17 @@ class TestSampleMask:
 
     def test_non_square_grid_rejected(self):
         with pytest.raises(ValueError):
-            sample_clip_masks(15, 1, Rng(0))
+            sample_clip_masks(15, 1, Rng(0), RUN.gate_probability, RUN.mask_ratio)
 
     def test_deterministic(self):
-        a = sample_clip_masks(64, 4, Rng(21), gate_probability=1.0)
-        b = sample_clip_masks(64, 4, Rng(21), gate_probability=1.0)
+        a = sample_clip_masks(64, 4, Rng(21), 1.0, RUN.mask_ratio)
+        b = sample_clip_masks(64, 4, Rng(21), 1.0, RUN.mask_ratio)
         assert np.array_equal(a, b)
 
     def test_zero_count_returns_none(self):
         """K = round(P * r) = 0 skips the masked losses, as for a clip."""
-        assert sample_clip_masks(16, 1, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
-        assert sample_clip_masks(16, 2, Rng(0), 1.0, r_range=(0.01, 0.02)) is None
+        assert sample_clip_masks(16, 1, Rng(0), 1.0, (0.01, 0.02)) is None
+        assert sample_clip_masks(16, 2, Rng(0), 1.0, (0.01, 0.02)) is None
 
 
 class TestClipMasks:
@@ -346,7 +350,7 @@ class TestClipMasks:
     def test_shared_count_independent_patterns(self):
         masks = None
         for seed in range(50):
-            masks = sample_clip_masks(64, 4, Rng(seed), gate_probability=1.0)
+            masks = sample_clip_masks(64, 4, Rng(seed), 1.0, RUN.mask_ratio)
             if masks is not None:
                 break
         assert masks is not None and masks.shape == (4, 64)
@@ -357,7 +361,7 @@ class TestClipMasks:
     def test_gate_off_skips_whole_clip(self):
         seen_none = False
         for seed in range(40):
-            if sample_clip_masks(16, 4, Rng(seed)) is None:
+            if sample_clip_masks(16, 4, Rng(seed), RUN.gate_probability, RUN.mask_ratio) is None:
                 seen_none = True
                 break
         assert seen_none
