@@ -338,10 +338,8 @@ def clip_affinity_loss(t_rows, s_rows, counts, temps):
         q_t.append(l2_normalize_rows(Tensor(t_rows[offset:offset + count])))
         q_s.append(l2_normalize_rows(narrow(s_rows, 0, offset, count)))
         offset += count
-    t_aff = [build_affinity(q_t[j], q_t[j + 1], temps.teacher)
-             for j in range(len(counts) - 1)]
-    s_aff = [build_affinity(q_s[j], q_s[j + 1], temps.student)
-             for j in range(len(counts) - 1)]
+    t_aff = [build_affinity(a, b, temps.teacher) for a, b in zip(q_t, q_t[1:])]
+    s_aff = [build_affinity(a, b, temps.student) for a, b in zip(q_s, q_s[1:])]
     return loss_in_aff(t_aff, s_aff)
 
 
@@ -436,7 +434,7 @@ def step_losses(crops, clip_masks, student, teacher, run):
 
 
 def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
-    """One optimization step over a batch of clips.
+    """One optimization step over one clip of each (T, H, W, 3) video in group.
 
     Returns (breakdown, lr, wd, gated_any, applied); applied is False
     when a non-finite loss or gradient skipped the update."""
@@ -450,9 +448,9 @@ def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
     g2g_only = run.loss_mode == "g2g"
 
     crops, clip_masks = [], []
-    for i, source in enumerate(group):
+    for i, video in enumerate(group):
         crng = srng.substream(f"clip{i}")
-        frames = sample_clip(source, crng.substream("frames"), view)
+        frames = sample_clip(video, crng.substream("frames"), view)
         crops.append(make_crops(frames, crng.substream("crops"), view))
         clip_masks.append(None if g2g_only else sample_clip_masks(
             gh * gw, view.clip_len, crng.substream("mask"),
@@ -486,6 +484,7 @@ class TrainResult:
 
 def train(run, resume=None, progress=None):
     """Run the full schedule; checkpoints land in run.out every epoch.
+    Every training video is read and checked before anything is written.
 
     resume: path to a checkpoint from the same config; steps already
     covered are skipped without drawing randomness, so a resumed run is
@@ -502,6 +501,7 @@ def train(run, resume=None, progress=None):
         if len(source) < run.view.clip_span:
             raise ValueError(f"{source.directory}: video of {len(source)} frames "
                              f"too short for clip span {run.view.clip_span}")
+    videos = [source.frames() for source in sources]
 
     config_text = canonical_config_text(run)
     if resume is not None:
@@ -522,7 +522,7 @@ def train(run, resume=None, progress=None):
         student, teacher, opt_state = restore_state(ckpt, run)
         start_step = ckpt.step
 
-    steps_per_epoch = max(1, len(sources) // run.batch)
+    steps_per_epoch = max(1, len(videos) // run.batch)
     schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch,
                         run.epochs)
 
@@ -537,12 +537,12 @@ def train(run, resume=None, progress=None):
     step = 0
     with open(log_path, "a" if resume else "w") as log_fh:
         for epoch in range(run.epochs):
-            order = rng.substream(f"epoch{epoch}").permutation(len(sources))
+            order = rng.substream(f"epoch{epoch}").permutation(len(videos))
             for b in range(steps_per_epoch):
                 if step < start_step:
                     step += 1
                     continue
-                group = [sources[j] for j in order[b * run.batch:(b + 1) * run.batch]]
+                group = [videos[j] for j in order[b * run.batch:(b + 1) * run.batch]]
                 breakdown, lr, wd, gated, applied = train_step(
                     step, group, student, teacher, run, schedule, opt_state, rng)
                 line = breakdown.log_line(step, lr, wd, gated)
@@ -572,34 +572,11 @@ def train(run, resume=None, progress=None):
 # -- evaluation ------------------------------------------------------------------
 
 
-def _frame_mask(source, i, frame_shape):
-    """Stored mask i of ``source``; one whose shape is not its frame's
-    (H, W) raises, naming the file."""
-    mask = source.mask(i)
-    if mask.shape != frame_shape:
-        raise ValueError(f"{source.mask_paths[i]}: mask shape {mask.shape} "
-                         f"differs from its frame's {frame_shape}")
-    return mask
-
-
-def predict_masks(source, params, model_config, prop_config):
-    """Object-id masks for every frame of a VideoSource, propagated from
-    its first-frame mask over the encoder's inference features."""
-    if not source.has_masks:
-        raise ValueError(f"{source.directory} carries no first-frame mask")
-    first = source[0]
-    frames = [first]
-    for i in range(1, len(source)):
-        frame = source[i]
-        if frame.shape != first.shape:
-            raise ValueError(f"{source.frame_paths[i]}: frame shape {frame.shape[:2]} "
-                             f"differs from the first frame's {first.shape[:2]}")
-        frames.append(frame)
-    features = extract_inference_features(np.stack(frames), params, model_config).data
-    grid = features.shape[1:3]
-    # the token grid covers the frame exactly (token_grid rejects the rest)
-    frame_shape = (grid[0] * model_config.patch_size, grid[1] * model_config.patch_size)
-    label_maps = propagate_video(features, _frame_mask(source, 0, frame_shape), prop_config)
+def predict_masks(frames, first_mask, params, model_config, prop_config):
+    """Object-id masks for every frame of a (T, H, W, 3) video, propagated
+    from its (H, W) first-frame mask over the encoder's inference features."""
+    features = extract_inference_features(frames, params, model_config).data
+    label_maps = propagate_video(features, first_mask, prop_config)
     return [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
 
 
@@ -608,10 +585,9 @@ def evaluate(params, model_config, prop_config, eval_root):
     stored masks. Returns (SequenceScores, report text)."""
     tracks = []
     for source in load_store(Path(eval_root)):
-        if len(source.mask_paths) != len(source):
-            raise ValueError(f"{source.directory}: need one mask per frame to score")
-        pred = predict_masks(source, params, model_config, prop_config)
-        truth = [_frame_mask(source, i, pred[i].shape) for i in range(len(source))]
+        frames = source.frames()
+        truth = source.masks(frames)
+        pred = predict_masks(frames, truth[0], params, model_config, prop_config)
         # only the objects of the first-frame mask are propagated
         for obj in np.unique(truth[0]):
             if obj:
@@ -623,7 +599,10 @@ def evaluate(params, model_config, prop_config, eval_root):
 
 def propagate_and_save(params, model_config, prop_config, video_dir, out_dir):
     """Inference on one video directory: writes predicted mask_*.pgm."""
-    masks = predict_masks(VideoSource(video_dir), params, model_config, prop_config)
+    source = VideoSource(video_dir)
+    frames = source.frames()
+    first = source.masks(frames, first_only=True)[0]
+    masks = predict_masks(frames, first, params, model_config, prop_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -63,7 +63,7 @@ class SyntheticSceneSpec:
             raise ValueError("flicker gains must be positive")
 
 
-def random_scene_spec(rng, canvas=32, frames=12, flicker_amplitude=0.25):
+def random_scene_spec(rng, canvas, frames, flicker_amplitude):
     """Lighting flicker is the part that makes the corpus nontrivial:
     each frame gets its own (r, g, b) gain triple, as if the light color
     drifted between frames. A uniform brightness change would be washed
@@ -152,8 +152,8 @@ def render_scene(spec):
     return frames, masks
 
 
-def gen_synthetic_dataset(out_root, seed, train_videos=8, eval_videos=4,
-                          canvas=32, frames=12, flicker_amplitude=0.25):
+def gen_synthetic_dataset(out_root, seed, train_videos, eval_videos, canvas, frames,
+                          flicker_amplitude=0.25):
     """Write train/ (frames only) and val/ (frames + masks) splits.
 
     Returns the two split directories."""
@@ -166,9 +166,8 @@ def gen_synthetic_dataset(out_root, seed, train_videos=8, eval_videos=4,
             split_dir.mkdir(parents=True, exist_ok=True)
             names = []
             for v in range(count):
-                spec = random_scene_spec(rng.substream(f"{split}/video{v}"),
-                                         canvas=canvas, frames=frames,
-                                         flicker_amplitude=flicker_amplitude)
+                spec = random_scene_spec(rng.substream(f"{split}/video{v}"), canvas,
+                                         frames, flicker_amplitude)
                 clip_frames, clip_masks = render_scene(spec)
                 name = f"video_{v:03d}"
                 write_video_dir(split_dir, name, clip_frames,

@@ -101,7 +101,7 @@ def _ce_rowsum(target_rows, prediction_rows):
     return scale(tensor_sum(mul(target_rows, logp)), -1.0)
 
 
-def zero_loss(dtype=np.float64):
+def zero_loss(dtype):
     return Tensor(np.zeros((), dtype=dtype))
 
 
@@ -186,7 +186,7 @@ def loss_in_aff(teacher_affinities, student_affinities):
     if len(teacher_affinities) != len(student_affinities):
         raise ValueError("teacher/student transition counts differ")
     if not teacher_affinities:
-        return zero_loss()
+        raise ValueError("no frame transitions")
     total = None
     for t_mat, s_mat in zip(teacher_affinities, student_affinities):
         if t_mat.shape != s_mat.shape:

@@ -79,17 +79,15 @@ def make_frame_pairs(clip_len):
     return [(n, half + n) for n in range(half)]
 
 
-def sample_clip(source, rng, config):
+def sample_clip(video, rng, config):
     """Pick a uniformly random start and return the clip_len frames
-    spaced by the frameskip from there. ``source`` is any sequence of
-    (H, W, 3) frames."""
-    needed = config.clip_span
-    n = len(source)
-    if n < needed:
-        raise ValueError(f"video of {n} frames too short for clip span {needed}")
-    start = int(rng.integers(0, n - needed + 1))
-    return [np.asarray(source[start + i * config.frameskip])
-            for i in range(config.clip_len)]
+    spaced by the frameskip from there: a strided slice of ``video``, a
+    (T, H, W, 3) array (or any sequence of frames that slices)."""
+    span = config.clip_span
+    if len(video) < span:
+        raise ValueError(f"video of {len(video)} frames too short for clip span {span}")
+    start = int(rng.integers(0, len(video) - span + 1))
+    return video[start:start + span:config.frameskip]
 
 
 # -- crops ---------------------------------------------------------------------
@@ -351,13 +349,16 @@ def read_pgm(path):
 
 
 class VideoSource:
-    """Lazy frame access for one video directory."""
+    """One video directory: frame_*.ppm and, in eval splits, mask_*.pgm.
+    :meth:`frames` and :meth:`masks` read each file once and check it
+    against the video, naming the file that fails."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.source_id = self.directory.name
         self.frame_paths = sorted(self.directory.glob("frame_*.ppm"))
         self.mask_paths = sorted(self.directory.glob("mask_*.pgm"))
+        self.has_masks = bool(self.mask_paths)
         if not self.frame_paths:
             raise ValueError(f"no frames under {self.directory}")
 
@@ -367,12 +368,33 @@ class VideoSource:
     def __getitem__(self, i):
         return read_ppm(self.frame_paths[i])
 
-    @property
-    def has_masks(self):
-        return bool(self.mask_paths)
-
     def mask(self, i):
         return read_pgm(self.mask_paths[i])
+
+    def frames(self):
+        """Every frame as one (T, H, W, 3) float32 array; a frame whose
+        size is not the first frame's raises."""
+        frames = [read_ppm(path) for path in self.frame_paths]
+        for path, frame in zip(self.frame_paths, frames):
+            if frame.shape != frames[0].shape:
+                raise ValueError(f"{path}: frame shape {frame.shape[:2]} "
+                                 f"differs from the first frame's {frames[0].shape[:2]}")
+        return np.stack(frames)
+
+    def masks(self, frames, first_only=False):
+        """The (T, H, W) uint8 masks of ``frames``, this video's (T, H, W, 3)
+        array, or with first_only the first frame's alone, (1, H, W). Any
+        other mask count, or a mask whose shape is not the frames', raises."""
+        paths = self.mask_paths[:1] if first_only else self.mask_paths
+        if len(paths) != (1 if first_only else len(frames)):
+            raise ValueError(f"{self.directory}: {len(self.mask_paths)} masks for {len(frames)} "
+                             f"frames, need {'the first' if first_only else 'one per frame'}")
+        masks = [read_pgm(path) for path in paths]
+        for path, mask in zip(paths, masks):
+            if mask.shape != frames.shape[1:3]:
+                raise ValueError(f"{path}: mask shape {mask.shape} "
+                                 f"differs from its frame's {frames.shape[1:3]}")
+        return np.stack(masks)
 
 
 def write_video_dir(root, name, frames, masks=None):

@@ -9,6 +9,7 @@ import hashlib
 import math
 import shlex
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,20 @@ def cropped_pnm(buf, side):
     width, height = map(int, dims.split())
     corner = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, -1)[:side, :side]
     return magic + b"\n%d %d\n255\n" % (side, side) + corner.tobytes()
+
+
+def count_reads(monkeypatch):
+    """A Counter of the files vidcorr.views.read_ppm and read_pgm read
+    from now on, by path."""
+    import vidcorr.views as views
+
+    reads = Counter()
+    for name in ("read_ppm", "read_pgm"):
+        def counting(path, read=getattr(views, name)):
+            reads[Path(path)] += 1
+            return read(path)
+        monkeypatch.setattr(views, name, counting)
+    return reads
 
 
 def tree_digest(root):
@@ -337,10 +352,10 @@ class TestSyntheticScenes:
             self.static_spec(flicker=(((1.0, 1.0, 1.0),) * 3 + ((0.0, 1.0, 1.0),)))
 
     def test_random_spec_is_deterministic(self):
-        a = random_scene_spec(Rng(11), canvas=16, frames=4)
-        b = random_scene_spec(Rng(11), canvas=16, frames=4)
+        a = random_scene_spec(Rng(11), canvas=16, frames=4, flicker_amplitude=0.25)
+        b = random_scene_spec(Rng(11), canvas=16, frames=4, flicker_amplitude=0.25)
         assert a == b
-        c = random_scene_spec(Rng(12), canvas=16, frames=4)
+        c = random_scene_spec(Rng(12), canvas=16, frames=4, flicker_amplitude=0.25)
         assert a != c
 
     def test_zero_amplitude_disables_flicker(self):
@@ -557,7 +572,7 @@ class TestTrainingLoop:
             train(other, resume=out / "checkpoint_000.ckpt")
 
     def test_training_split_must_not_carry_masks(self, tmp_path):
-        spec = random_scene_spec(Rng(1), canvas=16, frames=4)
+        spec = random_scene_spec(Rng(1), canvas=16, frames=4, flicker_amplitude=0.25)
         frames, masks = render_scene(spec)
         split = tmp_path / "leaky" / "train"
         split.mkdir(parents=True)
@@ -583,6 +598,14 @@ class TestTrainingLoop:
         assert lines["g2g"][2:5] == ["0.000000", "0.000000", "0.000000"]
         assert lines["full"][2] != "0.000000"
 
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_each_training_frame_is_read_once(self, dataset_root, tmp_path,
+                                              monkeypatch, epochs):
+        reads = count_reads(monkeypatch)
+        train(build_run_config(micro_pairs(dataset_root, tmp_path / "o", epochs=epochs)))
+        frames = sorted((dataset_root / "train").glob("*/frame_*.ppm"))
+        assert len(frames) == 24 and reads == Counter(frames)
+
     def test_poisoned_weights_fail_loudly(self, dataset_root):
         """NaN parameters do not propagate silently: the first softmax
         in the forward pass rejects them before any loss is formed."""
@@ -593,8 +616,8 @@ class TestTrainingLoop:
         schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch=2,
                             total_epochs=run.epochs)
         with pytest.raises(ValueError, match="non-finite"):
-            train_step(0, sources[:2], student, teacher, run, schedule,
-                       opt_state, Rng(run.seed))
+            train_step(0, [source.frames() for source in sources[:2]], student,
+                       teacher, run, schedule, opt_state, Rng(run.seed))
 
     def test_three_skipped_steps_abort(self, dataset_root, tmp_path,
                                        monkeypatch):
@@ -604,8 +627,8 @@ class TestTrainingLoop:
 
         def never_applies(step, group, student, teacher, run, opt_config,
                           opt_state, rng):
-            breakdown = total_loss(zero_loss(), zero_loss(), zero_loss(),
-                                   zero_loss())
+            zero = zero_loss(np.float32)
+            breakdown = total_loss(zero, zero, zero, zero)
             return breakdown, 0.1, 0.04, True, False
 
         monkeypatch.setattr("vidcorr.harness.train_step", never_applies)
@@ -648,6 +671,16 @@ class TestEvaluation:
         prop = PropagationConfig(top_k=3, context_size=2, radius=4)
         scores, _ = evaluate(params, run.model, prop, tmp_path)
         assert [t.object_id for t in scores.tracks] == [2, 3]
+
+    def test_evaluate_reads_each_file_once(self, dataset_root, monkeypatch):
+        run = build_run_config(micro_pairs(dataset_root, "unused"))
+        params = EncoderParams.init(run.model, Rng(3).substream("init"),
+                                    requires_grad=False)
+        prop = PropagationConfig(top_k=3, context_size=2, radius=4)
+        reads = count_reads(monkeypatch)
+        evaluate(params, run.model, prop, dataset_root / "val")
+        files = sorted((dataset_root / "val").glob("*/*_*.p[gp]m"))
+        assert len(files) == 24 and reads == Counter(files)
 
     def test_eval_needs_masks(self, dataset_root):
         run = build_run_config(micro_pairs(dataset_root, "unused"))
@@ -704,7 +737,7 @@ class TestEvaluation:
         frames = [g.uniform(size=(32, 32, 3)).astype(np.float32) for _ in range(7)]
         first = np.zeros((32, 32), dtype=np.uint8)
         first[4:20, 8:24], first[20:, :12] = 1, 2
-        source = VideoSource(write_video_dir(tmp_path, "video_000", frames, [first]))
+        video = VideoSource(write_video_dir(tmp_path, "video_000", frames, [first])).frames()
         run = build_run_config(micro_pairs(tmp_path, "unused"))
         params = EncoderParams.init(run.model, Rng(3).substream("init"),
                                     requires_grad=False)
@@ -729,12 +762,11 @@ class TestEvaluation:
         monkeypatch.setattr(harness, "extract_inference_features", recording)
         monkeypatch.setattr(encoder, "patchify_batch", patchify_recording)
         monkeypatch.setattr(encoder, "patch_pos_embed", resize_recording)
-        masks = harness.predict_masks(source, params, run.model, prop)
+        masks = harness.predict_masks(video, first, params, run.model, prop)
         assert videos == [7] and stacks == [3, 3, 1] and resizes == [(8, 8)]
 
-        alone = [extract(source[i], params, run.model).data for i in range(len(source))]
-        together = extract(np.stack([source[i] for i in range(len(source))]), params,
-                           run.model).data
+        alone = [extract(frame, params, run.model).data for frame in video]
+        together = extract(video, params, run.model).data
         for got, want in zip(together, alone):
             assert np.array_equal(got, want)
         want = [harness.labels_to_mask(m, run.model.patch_size)
@@ -908,6 +940,23 @@ class TestCli:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "usage error" not in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda buf: cropped_pnm(buf, 12),
+        lambda buf: buf[:-10],
+    ], ids=["frame-smaller-than-first", "truncated-frame"])
+    def test_corrupt_training_frame_exits_2(self, dataset_root, tmp_path, capsys,
+                                            damage):
+        """A broken training frame stops train before it writes anything,
+        whether or not a step would sample it."""
+        data, out = tmp_path / "data", tmp_path / "o"
+        shutil.copytree(dataset_root / "train", data / "train")
+        path = data / "train" / "video_001" / "frame_00003.ppm"
+        path.write_bytes(damage(path.read_bytes()))
+        assert main(["train"] + cli_sets(micro_pairs(data, out))) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "usage error" not in err
+        assert not out.exists()
 
     def test_train_resume_matches_uninterrupted_run(self, dataset_root, tmp_path,
                                                     monkeypatch, capsys):

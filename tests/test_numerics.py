@@ -545,7 +545,7 @@ class TestBackward:
         crops, clip_masks = [], []
         for i, source in enumerate(load_store(tmp_path / "train")):
             crng = step.substream(f"clip{i}")
-            frames = sample_clip(source, crng.substream("frames"), view)
+            frames = sample_clip(source.frames(), crng.substream("frames"), view)
             crops.append(make_crops(frames, crng.substream("crops"), view))
             clip_masks.append(sample_clip_masks(gh * gw, view.clip_len, crng.substream("mask"),
                                                 run.gate_probability, run.mask_ratio))

@@ -346,8 +346,9 @@ class TestAffinityLoss:
         with pytest.raises(ValueError, match="differ"):
             loss_in_aff([small], [big])
 
-    def test_no_transitions_give_zero(self):
-        assert loss_in_aff([], []).data == 0.0
+    def test_no_transitions_rejected(self):
+        with pytest.raises(ValueError, match="no frame transitions"):
+            loss_in_aff([], [])
 
 
 class TestTotalLoss:
@@ -362,7 +363,7 @@ class TestTotalLoss:
         terms exactly, not just approximately."""
         g2g = Tensor(np.float64(0.7613451337814331))
         l2g = Tensor(np.float64(1.9732118845176))
-        gated = total_loss(g2g, l2g, zero_loss(), zero_loss())
+        gated = total_loss(g2g, l2g, zero_loss(np.float64), zero_loss(np.float64))
         assert gated.total.data == add(g2g, l2g).data
 
     def test_log_line_layout(self):
@@ -548,7 +549,7 @@ def pipeline_loss(student, teacher, temps, config, globals_, locals_, masks, pai
     g2g = loss_out_g2g(td_cls, sd_cls, pairs)
     l2g = loss_out_l2g(td_cls, sd_locals, pairs)
     if masks is None:
-        return total_loss(g2g, l2g, zero_loss(), zero_loss())
+        return total_loss(g2g, l2g, zero_loss(np.float64), zero_loss(np.float64))
 
     seq = patchify_batch(globals_, student, config)
     masked = apply_mask_tokens(seq, masks, student)

@@ -412,9 +412,32 @@ class TestPnmStore:
         assert len(store[0]) == 6
         assert store[0].has_masks and not store[1].has_masks
         assert np.array_equal(store[0].mask(2), masks[2])
-        clip = sample_clip(store[0], Rng(0), ViewConfig(clip_len=2, frameskip=1))
+        clip = sample_clip(store[0].frames(), Rng(0), ViewConfig(clip_len=2, frameskip=1))
         assert any(all(np.array_equal(frame, store[0][start + j]) for j, frame in enumerate(clip))
                    for start in range(5))
+
+    def test_frames_and_masks_are_checked_against_the_video(self, tmp_path):
+        frames = toy_video(3, h=8, w=8, seed=2)
+        masks = [np.full((8, 8), i, dtype=np.int32) for i in range(3)]
+        directory = write_video_dir(tmp_path, "vid", frames, masks)
+        source = VideoSource(directory)
+        video = source.frames()
+        assert video.shape == (3, 8, 8, 3) and video.dtype == np.float32
+        assert all(np.array_equal(video[i], source[i]) for i in range(3))
+        assert np.array_equal(source.masks(video), np.stack(masks))
+        assert np.array_equal(source.masks(video, first_only=True), masks[:1])
+        with pytest.raises(ValueError, match="2 frames, need one per frame"):
+            source.masks(video[:2])
+        write_pgm(directory / "mask_00001.pgm", np.zeros((8, 6), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"mask_00001\.pgm: mask shape \(8, 6\)"):
+            source.masks(video)
+        assert np.array_equal(source.masks(video, first_only=True), masks[:1])
+        write_ppm(directory / "frame_00002.ppm", np.zeros((8, 6, 3)))
+        with pytest.raises(ValueError, match=r"frame_00002\.ppm: frame shape \(8, 6\)"):
+            source.frames()
+        bare = VideoSource(write_video_dir(tmp_path, "bare", frames))
+        with pytest.raises(ValueError, match="0 masks for 3 frames, need the first"):
+            bare.masks(video, first_only=True)
 
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
