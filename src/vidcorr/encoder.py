@@ -30,7 +30,6 @@ from vidcorr.numerics import (
     matmul,  # noqa: F401  re-exported: perfbench traces encoder.matmul
     mul,
     narrow,
-    no_grad,
     reshape,
     softmax_t,  # noqa: F401  re-exported: perfbench traces encoder.softmax_t
 )
@@ -172,10 +171,10 @@ class EncoderParams:
     def named_parameters(self):
         return [(name, self._tensors[name]) for name, _ in _param_specs(self.config)]
 
-    def clone(self, requires_grad=False):
-        """Deep copy of the values, by default outside the graph."""
+    def clone(self):
+        """Deep copy of the values that tracks no gradients."""
         return EncoderParams(self.config, {
-            name: Tensor(t.data.copy(), requires_grad=requires_grad, name=name)
+            name: Tensor(t.data.copy(), name=name)
             for name, t in self._tensors.items()
         })
 
@@ -378,8 +377,11 @@ def extract_inference_features(images, params, config):
     (H, W, 3) image, (T, h_tok, w_tok, D) for a video's (T, H, W, 3)
     frames. The frames go through the encoder in stacks of at most
     _FEATURE_TOKENS tokens with the position embedding resized once,
-    and each gets the same bits as alone. Runs outside the autodiff
-    graph."""
+    and each gets the same bits as alone. ``params`` must be grad-free
+    (``params_from_checkpoint``'s or ``EncoderParams.clone()``'s), so
+    that no kernel records a graph node."""
+    if any(t.requires_grad for _, t in params.named_parameters()):
+        raise ValueError("inference parameters must not track gradients")
     images = np.asarray(images)
     if images.ndim not in (3, 4) or images.shape[-1] != 3:
         raise ValueError(f"expected (H, W, 3) or (T, H, W, 3) images, got {images.shape}")
@@ -389,12 +391,11 @@ def extract_inference_features(images, params, config):
     p = grid[0] * grid[1]
     per_forward = max(1, _FEATURE_TOKENS // (1 + p))
     out = np.empty((len(frames), p, config.embed_dim), dtype=params["patch_proj/weight"].dtype)
-    with no_grad():
-        pos = patch_pos_embed(params, config, grid)
-        for start in range(0, len(frames), per_forward):
-            seq = patchify_batch(frames[start:start + per_forward], params, config, pos)
-            x = _run_blocks(seq, params, config, config.inference_layer)
-            flat = reshape(narrow(x, 1, 1, p), (seq.batch * p, config.embed_dim))
-            out[start:start + seq.batch] = l2_normalize_rows(flat).data.reshape(seq.batch, p, -1)
+    pos = patch_pos_embed(params, config, grid)
+    for start in range(0, len(frames), per_forward):
+        seq = patchify_batch(frames[start:start + per_forward], params, config, pos)
+        x = _run_blocks(seq, params, config, config.inference_layer)
+        flat = reshape(narrow(x, 1, 1, p), (seq.batch * p, config.embed_dim))
+        out[start:start + seq.batch] = l2_normalize_rows(flat).data.reshape(seq.batch, p, -1)
     out = out.reshape((len(frames),) + grid + (config.embed_dim,))
     return Tensor(out[0] if single else out)

@@ -1,14 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every kernel computes its forward value with numpy and, when an input
-tracks gradients, records a vector-Jacobian closure so :func:`backward`
-can fill the ``.grad`` of the leaves (tensors built with
-``requires_grad=True`` rather than by a kernel) by walking the graph in
-reverse topological order. Interior nodes never get a ``.grad``, and
-:func:`backward` consumes the graph as it walks it: each node's closure
-and parents are dropped once its VJP has run, so a graph can be
-backpropagated only once. Kernels never write to their inputs' data;
-VJPs return ``None`` for inputs that do not track gradients.
+Every kernel computes its forward value with numpy and records a graph
+node, a vector-Jacobian closure, exactly when one of its inputs tracks
+gradients, so :func:`backward` can fill the ``.grad`` of the leaves
+(tensors built with ``requires_grad=True`` rather than by a kernel) by
+walking the graph in reverse topological order. No switch turns
+recording off: a forward that must build no graph, the teacher's or
+inference's, takes grad-free parameters. Interior nodes never get a
+``.grad``, and :func:`backward` consumes the graph as it walks it: each
+node's closure and parents are dropped once its VJP has run, so a graph
+can be backpropagated only once. Kernels never write to their inputs'
+data; VJPs return ``None`` for inputs that do not track gradients.
 
 Training runs in float32: tensors built from plain python data take
 :data:`DEFAULT_DTYPE`, while ndarrays keep their precision. Gradient
@@ -17,25 +19,11 @@ finite-difference tolerance is unreachable in single precision).
 """
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 DEFAULT_DTYPE = np.float32
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording; forwards inside run as plain numpy."""
-    global _grad_enabled
-    old = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = old
 
 
 def _coerce(data):
@@ -103,7 +91,7 @@ def as_tensor(x):
 
 
 def _result(data, parents, vjp):
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents
         out._vjp = vjp

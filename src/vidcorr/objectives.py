@@ -64,7 +64,7 @@ class TeacherState:
 
     @classmethod
     def from_student(cls, student_params, momentum, center_momentum):
-        return cls(student_params.clone(requires_grad=False), momentum, center_momentum)
+        return cls(student_params.clone(), momentum, center_momentum)
 
 
 def _require_detached(logits, who):

@@ -21,8 +21,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-_shortage_logged = False
-
 # Most similarity entries one tile's approximate product may hold; tiles
 # of whole target rows stay under it, so large grids never build the
 # full (h*w) x (n*h*w) matrix.
@@ -138,7 +136,6 @@ def _check_context(target, context):
         if labels.grid.shape != (h, w, c):
             raise ValueError(
                 f"context label grid {labels.grid.shape} does not match {(h, w, c)}")
-    return h, w, c
 
 
 def _rows_per_tile(h, w, frames, radius):
@@ -364,16 +361,7 @@ def propagate_frame(target, context, config):
     Context order matters only for similarity ties, which go to the
     latest frame in the list.
     """
-    global _shortage_logged
-    h, w, _ = _check_context(target, context)
-    n = len(context)
-
-    min_window = (min(config.radius, h - 1) + 1) * (min(config.radius, w - 1) + 1)
-    if n * min_window < config.top_k and not _shortage_logged:
-        log.warning("fewer than top_k=%d candidates available in %d context frame(s); "
-                    "using all of them", config.top_k, n)
-        _shortage_logged = True
-
+    _check_context(target, context)
     context_labels = np.stack([labels.grid for _, labels in context], axis=0)
     margin = _search_margin(target.grid.shape[2], target.max_norm,
                             max(feats.max_norm for feats, _ in context))
@@ -389,13 +377,19 @@ def propagate_video(features, first_mask, config):
     first_mask: integer object-id raster for frame 0
     Returns one LabelMap per frame; frame 0 keeps its ground-truth
     one-hot labels. Context for frame t is the first frame plus up to
-    context_size most recent predictions, oldest first.
+    context_size most recent predictions, oldest first. Logs one warning
+    when a target cell has fewer than top_k candidates: frame 1's
+    one-frame context at a corner window is the fewest any cell sees.
     """
     if len(features) == 0:
         raise ValueError("need at least one frame")
     maps = [FeatureMap(f) for f in features]
     h, w, _ = maps[0].grid.shape
     first_labels = init_labels(first_mask, (h, w))
+    corner_window = (min(config.radius, h - 1) + 1) * (min(config.radius, w - 1) + 1)
+    if len(maps) > 1 and corner_window < config.top_k:
+        log.warning("frame 1 has cells with fewer than top_k=%d candidates in its "
+                    "one-frame context; using all of them", config.top_k)
 
     outputs = [first_labels]
     recent = deque(maxlen=config.context_size)  # only these ever join a context

@@ -7,6 +7,7 @@ runs plus nine evaluations); everything else is sub-second. Run with
 plain pytest; the verdict lines bypass output capture."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vidcorr.harness import (
     evaluate,
     gen_synthetic_dataset,
     params_from_checkpoint,
+    parse_config_text,
     train,
 )
 from vidcorr.harness.fidelity import loss_fidelity_report
@@ -314,18 +316,9 @@ def test_criterion_6_metric_oracles(capsys):
     assert agg_ok
 
 
-DESK_CONFIG = {
-    "epochs": "50", "batch": "2", "checkpoint_every": "0",
-    "gate_probability": "1.0", "ema_momentum": "0.9",
-    "temp.teacher": "0.04",
-    "opt.warmup_epochs": "5", "opt.lr_scale_constant": "0.3",
-    "view.clip_len": "6", "view.frameskip": "2", "view.global_size": "32",
-    "view.local_size": "16", "view.locals_per_frame": "2",
-    "view.local_scale": "0.3,0.8",
-    "model.patch_size": "4", "model.embed_dim": "32", "model.depth": "2",
-    "model.heads": "4", "model.proj_dim": "64", "model.proj_hidden": "128",
-    "model.pe_base_resolution": "4", "model.inference_layer": "2",
-}
+# the desk config users train with, so that criterion 7 checks it
+DESK_CONFIG = parse_config_text(
+    (Path(__file__).resolve().parents[1] / "examples" / "desk.cfg").read_text())
 
 
 def test_criterion_7_training_trend(capsys, tmp_path):

@@ -432,7 +432,7 @@ class TestInferenceFeatures:
 
     def test_grid_shape(self):
         config = ModelConfig(proj_dim=16, proj_hidden=16)
-        params = EncoderParams.init(config, Rng(2))
+        params = EncoderParams.init(config, Rng(2)).clone()
         feats = extract_inference_features(
             Rng(3).uniform(size=(32, 32, 3)).astype(np.float32), params, config)
         assert feats.shape == (4, 4, 64)
@@ -456,6 +456,7 @@ class TestInferenceFeatures:
 
     def test_rows_unit_norm_and_deterministic(self):
         config, params, image = micro_setup()
+        params = params.clone()
         a = extract_inference_features(image, params, config)
         b = extract_inference_features(image, params, config)
         assert np.array_equal(a.data, b.data)
@@ -464,7 +465,15 @@ class TestInferenceFeatures:
 
     def test_last_layer_matches_forward_features(self):
         config, params, image = micro_setup(depth=2, inference_layer=2)
-        feats = extract_inference_features(image, params, config)
+        feats = extract_inference_features(image, params.clone(), config)
         raw = oracle_tokens(image, params, config, 2)[1:]
         ref = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
         assert np.allclose(feats.data.reshape(4, -1), ref, atol=1e-6)
+
+    def test_grad_tracking_params_rejected(self):
+        """Inference builds no graph because its parameters track no
+        gradients; a student's live parameters are refused."""
+        config, params, image = micro_setup()
+        assert all(t.requires_grad for _, t in params.named_parameters())
+        with pytest.raises(ValueError, match="must not track gradients"):
+            extract_inference_features(image, params, config)

@@ -1009,12 +1009,7 @@ class TestCli:
     def test_readme_quick_start_runs(self, tmp_path, monkeypatch, capsys):
         """Every command of the README's quick start exits 0, run as
         written from a directory that holds examples/ as the repository
-        root does; examples/desk.cfg is the acceptance DESK_CONFIG."""
-        from test_acceptance import DESK_CONFIG
-
-        cfg = parse_config_text((REPO / "examples" / "desk.cfg").read_text())
-        assert cfg == {key: parse_value(value) for key, value in DESK_CONFIG.items()}
-
+        root does."""
         shutil.copytree(REPO / "examples", tmp_path / "examples")
         monkeypatch.chdir(tmp_path)
         commands = readme_quick_start()

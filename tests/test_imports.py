@@ -1,8 +1,11 @@
-"""Unused-import and test-only-name gates for the package sources.
+"""Unused-import, global-statement and test-only-name gates for the
+package sources.
 
 A name that a module imports must be read somewhere in that module,
 listed in its ``__all__``, or marked ``# noqa: F401`` on its line (a
-deliberate re-export). A public top-level function or class must be
+deliberate re-export). No function rebinds a module-level name with a
+``global`` statement: behaviour follows from a call's inputs, not from
+process-wide state. A public top-level function or class must be
 read by the program itself (src/, perfbench/ or scripts/), not only by
 tests."""
 
@@ -48,6 +51,24 @@ def test_gate_catches_an_unused_import():
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def global_statements(text):
+    """[(line, names)] of the ``global`` statements in ``text``."""
+    return [(node.lineno, node.names) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Global)]
+
+
+def test_gate_catches_a_global_statement():
+    text = ("x = 0\ndef f():\n    global x\n    x = 1\n"
+            "class C:\n    def g(self):\n        global y, z\n")
+    assert global_statements(text) == [(3, ["x"]), (7, ["y", "z"])]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []
 
 
 def public_definitions(text):

@@ -25,7 +25,6 @@ from vidcorr.numerics import (
     matmul,
     mul,
     narrow,
-    no_grad,
     reshape,
     Rng,
     scale,
@@ -72,12 +71,6 @@ class TestTensorBasics:
         assert z.requires_grad
         w = add(y, y)
         assert not w.requires_grad
-
-    def test_no_grad_blocks_graph(self):
-        x = t64([1.0, 2.0], requires_grad=True)
-        with no_grad():
-            y = mul(x, x)
-        assert not y.requires_grad
 
     def test_default_dtype(self):
         """Plain python data builds float32 tensors; explicit ndarrays

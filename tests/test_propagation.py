@@ -1,5 +1,7 @@
 """Tests for restricted-attention label propagation."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,22 @@ class TestPropagateVideo:
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError):
             propagate_video([], np.zeros((4, 4), dtype=int), PropagationConfig(radius=2))
+
+    @pytest.mark.parametrize("radius, warnings", [(1, 1), (2, 0)])
+    def test_shortage_warned_once_per_video(self, caplog, radius, warnings):
+        """At radius 1 a corner cell of a 4x4 grid has 2x2 = 4 candidates
+        in frame 1's one-frame context, fewer than top_k 5: each video
+        warns once, not only the first of the process. Radius 2 gives
+        every cell at least 3x3 = 9, and nothing is logged."""
+        rng = np.random.default_rng(6)
+        mask = rng.integers(0, 2, size=(8, 8)).astype(np.int32)
+        cfg = PropagationConfig(top_k=5, radius=radius)
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vidcorr.propagation"):
+                propagate_video([unit_grid(rng, 4, 4, 6) for _ in range(4)], mask, cfg)
+            assert len(caplog.records) == warnings
+            assert all("top_k=5" in r.message for r in caplog.records)
 
 
 class TestLabelsToMask:

@@ -120,10 +120,6 @@ class TestSampleClip:
         b = sample_clip(video, Rng(11), cfg)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            sample_clip(toy_video(24), Rng(0), ViewConfig(clip_len=4, frameskip=8))
-
 
 class TestMakeCrops:
     """Random resized crops: the draws of _crop_picks, rendered by
