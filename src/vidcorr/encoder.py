@@ -58,15 +58,16 @@ class ModelConfig:
     inference_layer: int = 4
 
     def __post_init__(self):
+        for name, least in (("patch_size", 1), ("embed_dim", 1), ("depth", 1), ("heads", 1),
+                            ("mlp_ratio", 1), ("proj_layers", 1), ("proj_dim", 1),
+                            ("proj_hidden", 0), ("pe_base_resolution", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
-        if self.depth < 1 or self.patch_size < 1 or self.pe_base_resolution < 2:
-            raise ValueError("bad backbone geometry")
         if not 1 <= self.inference_layer <= self.depth:
             raise ValueError(
                 f"inference_layer={self.inference_layer} outside 1..depth={self.depth}")
-        if self.proj_layers < 1:
-            raise ValueError("projection head needs at least one layer")
         if self.proj_hidden == 0:
             self.proj_hidden = 4 * self.proj_dim
 
@@ -138,8 +139,20 @@ def _init_value(name, shape, rng):
     return rng.substream(name).normal(0.0, std, size=shape)
 
 
+def take_named(specs, values):
+    """{name: values[name]} for each (name, shape) of specs, other names
+    dropped. A missing or mis-shaped value raises a ValueError that
+    starts with its name."""
+    for name, shape in specs:
+        if name not in values:
+            raise ValueError(f"{name} is missing")
+        if values[name].shape != shape:
+            raise ValueError(f"{name} has shape {values[name].shape}, want {shape}")
+    return {name: values[name] for name, _ in specs}
+
+
 class EncoderParams:
-    """Named parameter set for one encoder copy.
+    """Named parameter set for one encoder copy, checked by take_named.
 
     The student copy is built with requires_grad=True; the teacher copy
     never tracks gradients.
@@ -147,13 +160,7 @@ class EncoderParams:
 
     def __init__(self, config, tensors):
         self.config = config
-        self._tensors = dict(tensors)
-        for name, shape in _param_specs(config):
-            if name not in self._tensors:
-                raise ValueError(f"missing parameter {name}")
-            if self._tensors[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name} has shape {self._tensors[name].shape}, want {shape}")
+        self._tensors = take_named(_param_specs(config), tensors)
 
     @classmethod
     def init(cls, config, rng, requires_grad=True, dtype=DEFAULT_DTYPE):
@@ -169,7 +176,7 @@ class EncoderParams:
         return self._tensors[name]
 
     def named_parameters(self):
-        return [(name, self._tensors[name]) for name, _ in _param_specs(self.config)]
+        return list(self._tensors.items())
 
     def clone(self):
         """Deep copy of the values that tracks no gradients."""

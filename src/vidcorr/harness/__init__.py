@@ -25,6 +25,7 @@ from vidcorr.encoder import (
 )
 from vidcorr.metrics import aggregate, report, score_track
 from vidcorr.numerics import (
+    DEFAULT_DTYPE,
     Rng,
     Tensor,
     add,
@@ -81,9 +82,9 @@ from .synthetic import gen_synthetic_dataset  # noqa: F401
 class RunConfig:
     """Every setting of a run: the top-level keys, then one dataclass per
     dotted section, each key with one default and one check. The checks
-    here span keys (warmup_epochs < epochs) or belong to no section
-    (mask_ratio a pair with 0 <= lo <= hi <= 1, both momenta in [0, 1]).
-    canonical_config_text echoes the fields in this order."""
+    here span keys (warmup_epochs < epochs, crop sizes in whole patches)
+    or belong to no section (mask_ratio a pair with 0 <= lo <= hi <= 1,
+    both momenta in [0, 1]). canonical_config_text echoes this order."""
 
     seed: int = 0
     epochs: int = 2
@@ -108,6 +109,11 @@ class RunConfig:
         if self.opt.warmup_epochs >= self.epochs:
             raise ValueError(f"warmup_epochs {self.opt.warmup_epochs} must lie in "
                              f"[0, epochs {self.epochs})")
+        for name in ("global_size", "local_size"):
+            size, patch = getattr(self.view, name), self.model.patch_size
+            if size < 1 or size % patch:
+                raise ValueError(f"view.{name} = {size} must be a positive multiple "
+                                 f"of model.patch_size = {patch}")
         if not 0.0 <= self.gate_probability <= 1.0:
             raise ValueError("gate_probability must lie in [0, 1]")
         for name in ("ema_momentum", "center_momentum"):
@@ -223,26 +229,10 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     step: int
     config_text: str
-    records: list  # ordered (name, array)
+    records: list  # ordered (name, array), read-only views into the file bytes
     path: str = ""
-
-    def record_dict(self):
-        return dict(self.records)
-
-    def load_into(self, targets):
-        """Copy records into tensors; targets are (record name, Tensor)
-        pairs, and each record must exist with its tensor's shape."""
-        recs = self.record_dict()
-        for key, t in targets:
-            if key not in recs:
-                raise CheckpointError(f"{self.path}: no record {key!r}")
-            if recs[key].shape != t.shape:
-                raise CheckpointError(f"{self.path}: record {key!r} has shape "
-                                      f"{recs[key].shape}, want {t.shape}")
-            t.data = recs[key].astype(t.dtype, copy=True)
 
 
 def checkpoint_bytes(student, teacher, opt_state, step, config_text):
@@ -286,18 +276,30 @@ def load_checkpoint(path):
         records, _ = parse_named_list(buf, 17 + cfg_len)
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from None
-    return Checkpoint(version, step, config_text, records, str(path))
+    return Checkpoint(step, config_text, records, str(path))
+
+
+def _from_records(ckpt, prefix, build, requires_grad=False):
+    """build({name: Tensor}) over the records named prefix + name, each
+    Tensor an owned float32 copy (the records are read-only, mostly
+    misaligned views into the file). build's ValueError starts with the
+    name at fault (encoder.take_named); it is re-raised with the file."""
+    arrays = {name[len(prefix):]: arr for name, arr in ckpt.records if name.startswith(prefix)}
+    tensors = {name: Tensor(np.array(arr, dtype=DEFAULT_DTYPE), requires_grad, name)
+               for name, arr in arrays.items()}
+    try:
+        return build(tensors)
+    except ValueError as e:
+        raise CheckpointError(f"{ckpt.path}: record {prefix}{e}") from None
 
 
 def restore_state(ckpt, run):
-    """Rebuild (student, teacher, opt_state) from checkpoint records."""
-    student = EncoderParams.init(run.model, Rng(run.seed).substream("init"))
-    ckpt.load_into((f"student/{n}", t) for n, t in student.named_parameters())
-    teacher = TeacherState.from_student(student, run.ema_momentum,
-                                        run.center_momentum)
-    ckpt.load_into([(f"teacher/{n}", t) for n, t in teacher.params.named_parameters()]
-                   + [("teacher/center_cls", teacher.center_cls),
-                      ("teacher/center_patch", teacher.center_patch)])
+    """Build (student, teacher, opt_state) from checkpoint records."""
+    student = _from_records(ckpt, "student/", lambda tensors: EncoderParams(run.model, tensors),
+                            requires_grad=True)
+    teacher = _from_records(ckpt, "teacher/", lambda tensors: TeacherState(
+        EncoderParams(run.model, tensors), run.ema_momentum, run.center_momentum,
+        centers=tensors))
     opt_items = [(n[len("opt/"):], arr) for n, arr in ckpt.records
                  if n.startswith("opt/")]
     try:
@@ -316,8 +318,7 @@ def params_from_checkpoint(path):
         run = build_run_config(parse_config_text(ckpt.config_text))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config echo ({e})") from None
-    params = EncoderParams.init(run.model, Rng(0), requires_grad=False)
-    ckpt.load_into((f"student/{n}", t) for n, t in params.named_parameters())
+    params = _from_records(ckpt, "student/", lambda tensors: EncoderParams(run.model, tensors))
     return params, run
 
 
@@ -486,10 +487,10 @@ def train(run, resume=None, progress=None):
     """Run the full schedule; checkpoints land in run.out every epoch.
     Every training video is read and checked before anything is written.
 
-    resume: path to a checkpoint from the same config; steps already
-    covered are skipped without drawing randomness, so a resumed run is
-    bitwise identical to an uninterrupted one, train.log included. Three
-    consecutive non-finite steps abort."""
+    resume: a checkpoint from the same config, also checked up front;
+    covered steps are skipped without drawing randomness, so a resumed
+    run is bitwise identical to an uninterrupted one, train.log
+    included. Three consecutive non-finite steps abort."""
     split = Path(run.data) / "train"
     sources = load_store(split)
     if not sources:
@@ -504,23 +505,21 @@ def train(run, resume=None, progress=None):
     videos = [source.frames() for source in sources]
 
     config_text = canonical_config_text(run)
-    if resume is not None:
+    rng = Rng(run.seed)
+    if resume is None:
+        student = EncoderParams.init(run.model, rng.substream("init"))
+        teacher = TeacherState.from_student(student, run.ema_momentum,
+                                            run.center_momentum)
+        opt_state, start_step = OptState.init(student), 0
+    else:
         ckpt = load_checkpoint(resume)
         if ckpt.config_text != config_text:
             raise CheckpointError(f"{resume}: checkpoint was written under a different config")
+        student, teacher, opt_state = restore_state(ckpt, run)
+        start_step = ckpt.step
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_text)
-
-    rng = Rng(run.seed)
-    student = EncoderParams.init(run.model, rng.substream("init"))
-    teacher = TeacherState.from_student(student, run.ema_momentum,
-                                        run.center_momentum)
-    opt_state = OptState.init(student)
-    start_step = 0
-    if resume is not None:
-        student, teacher, opt_state = restore_state(ckpt, run)
-        start_step = ckpt.step
 
     steps_per_epoch = max(1, len(videos) // run.batch)
     schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch,

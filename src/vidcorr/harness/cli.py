@@ -42,7 +42,7 @@ def build_parser():
     p.add_argument("--canvas", type=int, default=32)
     p.add_argument("--frames", type=int, default=12)
     p.add_argument("--flicker", type=float, default=0.25,
-                   help="per-frame brightness swing; 0 disables")
+                   help="per-frame brightness swing in [0, 1); 0 disables")
 
     p = sub.add_parser("train", help="run the training schedule")
     add_config_args(p)
@@ -84,10 +84,13 @@ def _collect_config(args):
 
 
 def _cmd_gen_data(args):
-    train_dir, val_dir = gen_synthetic_dataset(
-        args.out, args.seed, train_videos=args.train_videos,
-        eval_videos=args.eval_videos, canvas=args.canvas, frames=args.frames,
-        flicker_amplitude=args.flicker)
+    try:
+        train_dir, val_dir = gen_synthetic_dataset(
+            args.out, args.seed, train_videos=args.train_videos,
+            eval_videos=args.eval_videos, canvas=args.canvas, frames=args.frames,
+            flicker_amplitude=args.flicker)
+    except ValueError as e:  # the arguments are checked before anything is written
+        raise KeyError(str(e)) from None
     print(f"wrote {args.train_videos} training videos to {train_dir}")
     print(f"wrote {args.eval_videos} evaluation videos to {val_dir}")
     return 0

@@ -55,8 +55,6 @@ class SyntheticSceneSpec:
         for size in self.sizes:
             if not 2 <= size <= self.canvas:
                 raise ValueError(f"shape size {size} does not fit canvas {self.canvas}")
-        if self.canvas < 8 or self.frames < 1:
-            raise ValueError("canvas must be >= 8 and frames >= 1")
         if self.flicker and len(self.flicker) != self.frames:
             raise ValueError("flicker needs one gain triple per frame")
         if any(g <= 0 for gains in self.flicker for g in gains):
@@ -156,7 +154,11 @@ def gen_synthetic_dataset(out_root, seed, train_videos, eval_videos, canvas, fra
                           flicker_amplitude=0.25):
     """Write train/ (frames only) and val/ (frames + masks) splits.
 
-    Returns the two split directories."""
+    Returns the two split directories. Bad arguments raise a ValueError
+    before anything is written."""
+    if canvas < 8 or frames < 1 or not 0.0 <= flicker_amplitude < 1.0:
+        raise ValueError("need canvas >= 8, frames >= 1 and 0 <= flicker < 1, got "
+                         f"canvas {canvas}, frames {frames}, flicker {flicker_amplitude}")
     out_root = Path(out_root)
     splits = (("train", train_videos, False), ("val", eval_videos, True))
     rng = Rng(seed)

@@ -412,10 +412,9 @@ def linear(x, weight, bias):
 # -- normalization and distribution kernels ----------------------------------------
 
 
-def _softmax(x, axis, inv_t):
-    """Forward of :func:`softmax_t` on plain arrays; ``inv_t`` is the
-    reciprocal temperature as a 0-d array of x's dtype."""
-    y = x * inv_t
+def _softmax(y, axis):
+    """Softmax of the temperature-scaled array ``y`` along ``axis``,
+    stabilized by max-subtraction, written over ``y`` and returned."""
     np.subtract(y, y.max(axis=axis, keepdims=True), out=y)
     np.exp(y, out=y)
     np.divide(y, y.sum(axis=axis, keepdims=True), out=y)
@@ -439,7 +438,7 @@ def softmax_t(logits, axis=-1, temperature=1.0):
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     _check_softmax_input(logits.data, logits.label())
     inv_t = np.asarray(1.0 / temperature, dtype=logits.dtype)
-    y = _softmax(logits.data, axis, inv_t)
+    y = _softmax(logits.data * inv_t, axis)
     return _result(y, (logits,), lambda g: (_softmax_vjp(g, y, axis, inv_t),))
 
 
@@ -481,7 +480,8 @@ def attention(qkv, heads, name, queries=None):
     scores = q @ k_t
     _check_softmax_input(scores, name)
     inv_t = np.asarray(1.0 / math.sqrt(dh), dtype=qkv.dtype)
-    attn = _softmax(scores, -1, inv_t)
+    # the scores are fresh and nothing else reads them
+    attn = _softmax(np.multiply(scores, inv_t, out=scores), -1)
     mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, m, d)
 
     def vjp(g):

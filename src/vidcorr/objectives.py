@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vidcorr.encoder import take_named
 from vidcorr.numerics import (
     CROSS_ENTROPY_EPS,
     Tensor,
@@ -51,32 +52,31 @@ class TeacherState:
     Teacher parameters never carry a gradient graph; every update is a
     plain numpy assignment between training steps."""
 
-    def __init__(self, params, momentum, center_momentum):
+    def __init__(self, params, momentum, center_momentum, centers=None):
+        """centers: the (proj_dim,) center_cls and center_patch Tensors by
+        name, checked by take_named; zeros when None."""
         if any(t.requires_grad for _, t in params.named_parameters()):
             raise ValueError("teacher parameters must not track gradients")
         self.params = params
         self.momentum = momentum
         self.center_momentum = center_momentum
-        k = params.config.proj_dim
-        dtype = params["cls_token"].dtype
-        self.center_cls = Tensor(np.zeros(k, dtype=dtype), name="center_cls")
-        self.center_patch = Tensor(np.zeros(k, dtype=dtype), name="center_patch")
+        specs = [(name, (params.config.proj_dim,)) for name in ("center_cls", "center_patch")]
+        if centers is None:
+            centers = {name: Tensor(np.zeros(shape, params["cls_token"].dtype), name=name)
+                       for name, shape in specs}
+        self.center_cls, self.center_patch = take_named(specs, centers).values()
 
     @classmethod
     def from_student(cls, student_params, momentum, center_momentum):
         return cls(student_params.clone(), momentum, center_momentum)
 
 
-def _require_detached(logits, who):
-    if logits.requires_grad:
-        raise ValueError(f"{who} expects detached logits (stop-gradient teacher)")
-
-
 def teacher_distribution(logits, state, temps, kind):
     """Center raw teacher logits and sharpen: softmax_t(z - c, teacher τ).
 
     kind selects the class-token or patch-token center."""
-    _require_detached(logits, "teacher_distribution")
+    if logits.requires_grad:
+        raise ValueError("teacher_distribution expects detached logits (stop-gradient teacher)")
     if kind == "cls":
         center = state.center_cls
     elif kind == "patch":

@@ -60,6 +60,9 @@ class ViewConfig:
             raise ValueError(f"unknown flip_jitter_target {self.flip_jitter_target!r}")
         if self.frameskip < 1:
             raise ValueError("frameskip must be >= 1")
+        for name in ("brightness", "contrast", "saturation"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
     @property
     def clip_span(self):

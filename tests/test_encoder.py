@@ -17,7 +17,6 @@ from vidcorr.encoder import (
     patchify_batch,
     token_rows,
 )
-from vidcorr.harness import Checkpoint
 from vidcorr.numerics import (
     Rng,
     Tensor,
@@ -71,6 +70,16 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(depth=0, inference_layer=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("patch_size", 0), ("embed_dim", 0), ("heads", 0), ("mlp_ratio", 0),
+        ("proj_layers", 0), ("proj_dim", 0), ("proj_hidden", -1),
+        ("pe_base_resolution", 1)])
+    def test_sizes_out_of_range_rejected(self, name, value):
+        """A ValueError naming the key, not a ZeroDivisionError here or a
+        numpy error in the first forward."""
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{name: value})
+
     def test_hidden_defaults_to_four_k(self):
         assert ModelConfig(proj_dim=256).proj_hidden == 1024
         assert ModelConfig(proj_hidden=32).proj_hidden == 32
@@ -96,13 +105,13 @@ class TestParams:
             assert np.array_equal(ta.data, tb.data)
 
     def test_named_list_round_trip(self):
-        """Parameters survive the checkpoint's record encoding and
-        load back by name into a freshly drawn copy."""
+        """Parameters survive the checkpoint's record encoding, and a
+        parameter set builds by name from the decoded arrays, whatever
+        their order."""
         config, params, _ = micro_setup()
         items, _ = parse_named_list(named_list_bytes(
             (n, t.data) for n, t in params.named_parameters()))
-        back = EncoderParams.init(config, Rng(1), dtype=np.float64)
-        Checkpoint(1, 0, "", items).load_into(back.named_parameters())
+        back = EncoderParams(config, {n: Tensor(a, name=n) for n, a in reversed(items)})
         names = [n for n, _ in back.named_parameters()]
         assert names == [n for n, _ in params.named_parameters()]
         assert all(np.array_equal(a.data, b.data) for (_, a), (_, b)
@@ -112,7 +121,13 @@ class TestParams:
         config, params, _ = micro_setup()
         tensors = dict(params.named_parameters())
         del tensors["head/out_bias"]
-        with pytest.raises(ValueError, match="head/out_bias"):
+        with pytest.raises(ValueError, match="^head/out_bias is missing$"):
+            EncoderParams(config, tensors)
+
+    def test_misshaped_parameter_rejected(self):
+        config, params, _ = micro_setup()
+        tensors = {**dict(params.named_parameters()), "cls_token": Tensor(np.zeros(3))}
+        with pytest.raises(ValueError, match=r"^cls_token has shape \(3,\), want \(8,\)$"):
             EncoderParams(config, tensors)
 
 

@@ -7,6 +7,7 @@ so the whole file stays in the seconds range."""
 
 import hashlib
 import math
+import re
 import shlex
 import shutil
 from collections import Counter
@@ -397,9 +398,21 @@ def micro_state(run):
 
 
 class TestCheckpointFormat:
-    def make(self, tmp_path, run=None):
+    def make(self, tmp_path, run=None, distinct=False):
+        """A checkpoint of a fresh micro state; distinct=True first moves
+        the teacher, its centers and the optimizer state off their
+        initial values."""
         run = run or build_run_config(micro_pairs("d", str(tmp_path / "o")))
         student, teacher, opt_state = micro_state(run)
+        if distinct:
+            rng = np.random.default_rng(0)
+            for t in [t for _, t in teacher.params.named_parameters()] + [
+                    teacher.center_cls, teacher.center_patch]:
+                t.data = t.data + rng.normal(size=t.shape).astype(t.dtype)
+            for moments in (opt_state.m, opt_state.v):
+                for name in moments:
+                    moments[name] = rng.uniform(size=moments[name].shape).astype(np.float32)
+            opt_state.step = 3
         text = canonical_config_text(run)
         path = save_checkpoint(tmp_path / "ck.ckpt", student, teacher,
                                opt_state, 7, text)
@@ -411,19 +424,36 @@ class TestCheckpointFormat:
         assert (ckpt.step, ckpt.config_text) == (7, text)
         assert checkpoint_bytes(student, teacher, opt_state, 7, text) \
             == path.read_bytes()
-        recs = ckpt.record_dict()
+        recs = dict(ckpt.records)
         for name, t in student.named_parameters():
             assert np.array_equal(recs[f"student/{name}"], t.data)
 
     def test_restore_state_is_bitwise(self, tmp_path):
-        path, run, student, teacher, opt_state, _ = self.make(tmp_path)
-        s2, t2, o2 = restore_state(load_checkpoint(path), run)
-        for (n, a), (_, b) in zip(student.named_parameters(),
-                                  s2.named_parameters()):
-            assert np.array_equal(a.data, b.data), n
-        assert np.array_equal(teacher.center_patch.data, t2.center_patch.data)
-        for (n, a), (_, b) in zip(opt_state.to_named_list(), o2.to_named_list()):
-            assert np.array_equal(a, b), n
+        """Every record comes back: the restored state re-serializes to
+        the file's bytes, with a teacher and centers that differ from
+        the student and from zero."""
+        path, run, *_ = self.make(tmp_path, distinct=True)
+        ckpt = load_checkpoint(path)
+        student, teacher, opt_state = restore_state(ckpt, run)
+        assert checkpoint_bytes(student, teacher, opt_state, ckpt.step,
+                                ckpt.config_text) == path.read_bytes()
+        assert all(t.requires_grad for _, t in student.named_parameters())
+        assert not any(t.requires_grad for _, t in teacher.params.named_parameters())
+
+    def test_restored_parameters_own_their_data(self, tmp_path):
+        """The records are read-only views into the file bytes, most of
+        them misaligned; every parameter is an owned copy."""
+        path, run, *_ = self.make(tmp_path)
+        ckpt = load_checkpoint(path)
+        assert any(not arr.flags.aligned for _, arr in ckpt.records)
+        student, teacher, _ = restore_state(ckpt, run)
+        params, _ = params_from_checkpoint(path)
+        tensors = [t for p in (student, teacher.params, params)
+                   for _, t in p.named_parameters()]
+        tensors += [teacher.center_cls, teacher.center_patch]
+        for t in tensors:
+            flags = t.data.flags
+            assert flags.owndata and flags.aligned and flags.writeable, t.name
 
     def test_params_from_checkpoint(self, tmp_path):
         path, run, student, _, _, _ = self.make(tmp_path)
@@ -454,6 +484,35 @@ class TestCheckpointFormat:
             params_from_checkpoint(path)
         with pytest.raises(CheckpointError, match=str(path)):
             restore_state(load_checkpoint(path), run)
+
+    @pytest.mark.parametrize("record, shape", [
+        ("teacher/head/out_bias", None), ("teacher/patch_proj/weight", (3, 2)),
+        ("teacher/center_cls", None), ("teacher/center_patch", (2,))])
+    def test_bad_teacher_record_names_the_file(self, tmp_path, record, shape):
+        """A missing (shape None) or mis-shaped teacher record."""
+        path, run, *_ = self.make(tmp_path)
+        ckpt = load_checkpoint(path)
+        if shape is None:
+            records = [(n, a) for n, a in ckpt.records if n != record]
+            problem = "is missing"
+        else:
+            records = [(n, np.zeros(shape, np.float32) if n == record else a)
+                       for n, a in ckpt.records]
+            problem = "has shape"
+        buf = path.read_bytes()
+        path.write_bytes(buf[:17 + len(ckpt.config_text.encode())]
+                         + named_list_bytes(records))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: record {record} {problem}"):
+            restore_state(load_checkpoint(path), run)
+
+    def test_bad_resume_checkpoint_writes_nothing(self, dataset_root, tmp_path):
+        run = build_run_config(micro_pairs(dataset_root, tmp_path / "o"))
+        path, run, student, *_ = self.make(tmp_path, run)
+        path.write_bytes(without_record(path.read_bytes(), student, "head/out_bias"))
+        with pytest.raises(CheckpointError, match="student/head/out_bias"):
+            train(run, resume=path)
+        assert not (tmp_path / "o").exists()
 
     def test_truncated_record_names_the_file(self, tmp_path):
         path, *_ = self.make(tmp_path)
@@ -851,24 +910,37 @@ class TestCli:
         assert "wrote 6 masks" in capsys.readouterr().out
         assert len(list(pred.glob("mask_*.pgm"))) == 6
 
-    def test_usage_errors_exit_1(self, tmp_path, capsys):
-        assert main(["train", "--set", "bogus_key=1"]) == 1
-        assert main(["train", "--set", "no-equals-sign"]) == 1
-        assert main(["train"]) == 1  # data is required
-        err = capsys.readouterr().err
-        assert "usage error" in err
-        # values the config rejects: one epoch under the default single
-        # warmup epoch, no epochs at all, a zero rate, a beta past 1, mask
-        # ratios that are not a pair 0 <= lo <= hi <= 1 (an upper end past
-        # 1 asks the mask sampler for more cells than the grid has) and a
-        # center momentum past 1
+    # Each bad --set value over the micro run, under which a good value
+    # trains and writes config.txt and train.log: an unknown key, a
+    # missing '=', no data, one epoch under the single warmup epoch, no
+    # epochs, a zero rate, a beta past 1, mask ratios that are not a pair
+    # 0 <= lo <= hi <= 1, a center momentum past 1, model sizes that would
+    # divide by zero or fail in numpy mid-run, crop sizes that are not
+    # positive multiples of the 4-pixel patch, and jitter strengths
+    # outside [0, 1].
+    @pytest.mark.parametrize("bad", [
+        "bogus_key=1", "no-equals-sign", "data=", "epochs=1", "epochs=0",
+        "opt.lr_scale_constant=0", "opt.beta1=1.5", "mask_ratio=0.5,1.5",
+        "mask_ratio=0.6,0.2", "mask_ratio=-0.5,0.2", "mask_ratio=0.3",
+        "center_momentum=5.0", "model.heads=0", "model.embed_dim=0",
+        "model.mlp_ratio=0", "model.proj_dim=0", "model.proj_hidden=-1",
+        "view.global_size=18", "view.global_size=0", "view.local_size=30",
+        "view.local_size=0", "view.brightness=-1", "view.brightness=2",
+        "view.contrast=-1", "view.saturation=2"])
+    def test_usage_errors_exit_1(self, bad, dataset_root, tmp_path, capsys):
         out = tmp_path / "out"
-        for bad in ("epochs=1", "epochs=0", "opt.lr_scale_constant=0", "opt.beta1=1.5",
-                    "mask_ratio=0.5,1.5", "mask_ratio=0.6,0.2", "mask_ratio=-0.5,0.2",
-                    "mask_ratio=0.3", "center_momentum=5.0"):
-            assert main(["train", "--set", f"data={tmp_path}", "--set", f"out={out}",
-                         "--set", bad]) == 1
-            assert "usage error" in capsys.readouterr().err
+        assert main(["train"] + cli_sets(micro_pairs(dataset_root, out))
+                    + ["--set", bad]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        "--canvas=4", "--canvas=7", "--frames=0", "--flicker=1.5", "--flicker=1",
+        "--flicker=-0.5"])
+    def test_gen_data_usage_errors_exit_1(self, bad, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), "--frames", "4", bad]) == 1
+        assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_training_video_shorter_than_clip_exits_2(self, tmp_path, capsys):
