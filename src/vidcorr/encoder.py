@@ -6,7 +6,7 @@ residual) with a final norm before the head. The head is an N-layer
 MLP with gelu and a last linear to the output width, applied to the
 class token and to every patch token with the same weights.
 
-Parameter names are stable documented strings (see _param_specs), so
+Parameter names are stable documented strings (see param_specs), so
 serialized checkpoints are diffable across versions.
 """
 
@@ -78,7 +78,7 @@ class ModelConfig:
         return height // self.patch_size, width // self.patch_size
 
 
-def _param_specs(config):
+def param_specs(config):
     """Stable (name, shape) list; checkpoint order follows it."""
     d = config.embed_dim
     patch_dim = config.patch_size * config.patch_size * 3
@@ -139,35 +139,32 @@ def _init_value(name, shape, rng):
     return rng.substream(name).normal(0.0, std, size=shape)
 
 
-def take_named(specs, values):
-    """{name: values[name]} for each (name, shape) of specs, other names
-    dropped. A missing or mis-shaped value raises a ValueError that
-    starts with its name."""
-    for name, shape in specs:
-        if name not in values:
-            raise ValueError(f"{name} is missing")
-        if values[name].shape != shape:
-            raise ValueError(f"{name} has shape {values[name].shape}, want {shape}")
-    return {name: values[name] for name, _ in specs}
-
-
 class EncoderParams:
-    """Named parameter set for one encoder copy, checked by take_named.
+    """Named parameter set for one encoder copy: one Tensor for each
+    (name, shape) of param_specs.
 
     The student copy is built with requires_grad=True; the teacher copy
     never tracks gradients.
     """
 
     def __init__(self, config, tensors):
+        """tensors: {name: Tensor}, other names dropped. A missing or
+        mis-shaped tensor raises a ValueError that starts with its name."""
         self.config = config
-        self._tensors = take_named(_param_specs(config), tensors)
+        self._tensors = {}
+        for name, shape in param_specs(config):
+            if name not in tensors:
+                raise ValueError(f"{name} is missing")
+            if tensors[name].shape != shape:
+                raise ValueError(f"{name} has shape {tensors[name].shape}, want {shape}")
+            self._tensors[name] = tensors[name]
 
     @classmethod
     def init(cls, config, rng, requires_grad=True, dtype=DEFAULT_DTYPE):
         """Draw fresh parameters; each tensor uses its own rng substream
         so values do not depend on creation order."""
         tensors = {}
-        for name, shape in _param_specs(config):
+        for name, shape in param_specs(config):
             value = _init_value(name, shape, rng).astype(dtype)
             tensors[name] = Tensor(value, requires_grad=requires_grad, name=name)
         return cls(config, tensors)

@@ -7,6 +7,7 @@ named substreams keyed by step number, so training is reproducible
 byte-for-byte and resumable mid-run without replaying work.
 """
 
+import math
 import os
 import struct
 from dataclasses import MISSING, dataclass, field, fields
@@ -20,6 +21,7 @@ from vidcorr.encoder import (
     apply_mask_tokens,
     extract_inference_features,
     forward_batch,
+    param_specs,
     patchify_batch,
     token_rows,
 )
@@ -133,27 +135,40 @@ class RunConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)
              if f.default_factory is not MISSING}
 _TOP_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in _SECTIONS)
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name in _TOP_FIELDS}
+_KEY_TYPES.update({f"{section}.{f.name}": f.type for section, cls in _SECTIONS.items()
+                   for f in fields(cls)})
 
 
-def parse_value(text):
-    """Literal scalars (int, float, true/false), comma tuples, else the
-    raw string."""
-    text = text.strip()
-    if "," in text:
-        return tuple(parse_value(part) for part in text.split(","))
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
+def _finite(text):
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(text)
+
+
+# per declared field type: the parser of a config value's text and what it takes
+_PARSERS = {int: (int, "an integer"), float: (_finite, "a finite number"),
+            bool: ({"true": True, "false": False}.__getitem__, "true or false"),
+            tuple: (lambda text: tuple(map(_finite, text.split(","))),
+                    "a comma list of finite numbers"),
+            str: (str, "text")}
+
+
+def _parse_field(key, value):
+    """value, as text or as what _format_value writes, parsed by the
+    declared type of config key."""
+    parse, takes = _PARSERS[_KEY_TYPES[key]]
+    text = _format_value(value).strip()
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} = {text!r} is not {takes}") from None
 
 
 def parse_config_text(text):
-    """'key = value' lines into an ordered dict; '#' starts a comment."""
+    """'key = value' lines into an ordered dict of raw value text; '#'
+    starts a comment."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,30 +177,20 @@ def parse_config_text(text):
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = parse_value(value)
+        pairs[key.strip()] = value.strip()
     return pairs
 
 
 def build_run_config(pairs):
-    """Merge key/value pairs over the defaults; every key is validated
-    against the dataclasses, so typos fail loudly."""
+    """Merge key/value pairs over the defaults, each value parsed by its
+    key's type (_parse_field); an unknown key fails loudly."""
     top = {}
     buckets = {name: {} for name in _SECTIONS}
     for key, value in pairs.items():
-        if isinstance(value, str):
-            value = parse_value(value)
-        if "." in key:
-            section, _, field_name = key.partition(".")
-            cls = _SECTIONS.get(section)
-            if cls is None:
-                raise KeyError(f"unknown config section {section!r}")
-            if field_name not in {f.name for f in fields(cls)}:
-                raise KeyError(f"unknown config key {key!r}")
-            buckets[section][field_name] = value
-        else:
-            if key not in _TOP_FIELDS:
-                raise KeyError(f"unknown config key {key!r}")
-            top[key] = value
+        if key not in _KEY_TYPES:
+            raise KeyError(f"unknown config key {key!r}")
+        section, _, name = key.rpartition(".")
+        (buckets[section] if section else top)[name] = _parse_field(key, value)
     sections = {name: cls(**buckets[name]) for name, cls in _SECTIONS.items()}
     return RunConfig(**top, **sections)
 
@@ -236,11 +241,15 @@ class Checkpoint:
 
 
 def checkpoint_bytes(student, teacher, opt_state, step, config_text):
+    """The file bytes; the optimizer step rides along as a float64
+    (exact below 2**53)."""
     records = [(f"student/{n}", t.data) for n, t in student.named_parameters()]
     records += [(f"teacher/{n}", t.data) for n, t in teacher.params.named_parameters()]
     records.append(("teacher/center_cls", teacher.center_cls.data))
     records.append(("teacher/center_patch", teacher.center_patch.data))
-    records += [(f"opt/{n}", arr) for n, arr in opt_state.to_named_list()]
+    records.append(("opt/step", np.array([opt_state.step], dtype=np.float64)))
+    records += [(f"opt/m/{n}", arr) for n, arr in opt_state.m.items()]
+    records += [(f"opt/v/{n}", arr) for n, arr in opt_state.v.items()]
     cfg = config_text.encode("utf-8")
     header = (CKPT_MAGIC + bytes([CKPT_VERSION]) + struct.pack("<Q", step)
               + struct.pack("<I", len(cfg)) + cfg)
@@ -279,36 +288,54 @@ def load_checkpoint(path):
     return Checkpoint(step, config_text, records, str(path))
 
 
-def _from_records(ckpt, prefix, build, requires_grad=False):
-    """build({name: Tensor}) over the records named prefix + name, each
-    Tensor an owned float32 copy (the records are read-only, mostly
-    misaligned views into the file). build's ValueError starts with the
-    name at fault (encoder.take_named); it is re-raised with the file."""
-    arrays = {name[len(prefix):]: arr for name, arr in ckpt.records if name.startswith(prefix)}
-    tensors = {name: Tensor(np.array(arr, dtype=DEFAULT_DTYPE), requires_grad, name)
-               for name, arr in arrays.items()}
-    try:
-        return build(tensors)
-    except ValueError as e:
-        raise CheckpointError(f"{ckpt.path}: record {prefix}{e}") from None
+def _read_records(ckpt, model, prefixes):
+    """Check every record of ckpt against the layout of model; return,
+    one dict per prefix, {name after the prefix: owned float32 copy} of
+    the records under it (the records are read-only, mostly misaligned
+    views into the file bytes), and the optimizer step. A missing,
+    mis-shaped or unexpected record, or a step that is not a nonnegative
+    integer, raises a CheckpointError that names the file and the record."""
+    specs = param_specs(model)
+    layout = {f"{prefix}{name}": shape
+              for prefix in ("student/", "teacher/", "opt/m/", "opt/v/")
+              for name, shape in specs}
+    layout.update({"teacher/center_cls": (model.proj_dim,),
+                   "teacher/center_patch": (model.proj_dim,), "opt/step": (1,)})
+    records = {}
+    for name, arr in ckpt.records:
+        if name not in layout or name in records:
+            raise CheckpointError(f"{ckpt.path}: record {name} is unexpected")
+        records[name] = arr
+    for name, shape in layout.items():
+        if name not in records:
+            raise CheckpointError(f"{ckpt.path}: record {name} is missing")
+        if records[name].shape != shape:
+            raise CheckpointError(f"{ckpt.path}: record {name} has shape "
+                                  f"{records[name].shape}, want {shape}")
+    step = float(records["opt/step"][0])
+    if not (step >= 0 and step.is_integer()):
+        raise CheckpointError(f"{ckpt.path}: record opt/step holds {step}, "
+                              "want a nonnegative integer")
+    arrays = [{name[len(prefix):]: np.array(arr, dtype=DEFAULT_DTYPE)
+               for name, arr in records.items() if name.startswith(prefix)}
+              for prefix in prefixes]
+    return arrays, int(step)
+
+
+def _tensors(arrays, requires_grad=False):
+    return {name: Tensor(arr, requires_grad, name) for name, arr in arrays.items()}
 
 
 def restore_state(ckpt, run):
     """Build (student, teacher, opt_state) from checkpoint records."""
-    student = _from_records(ckpt, "student/", lambda tensors: EncoderParams(run.model, tensors),
-                            requires_grad=True)
-    teacher = _from_records(ckpt, "teacher/", lambda tensors: TeacherState(
-        EncoderParams(run.model, tensors), run.ema_momentum, run.center_momentum,
-        centers=tensors))
-    opt_items = [(n[len("opt/"):], arr) for n, arr in ckpt.records
-                 if n.startswith("opt/")]
-    try:
-        opt_state = OptState.from_named_list(opt_items)
-    except ValueError as e:
-        raise CheckpointError(f"{ckpt.path}: {e}") from None
-    if set(opt_state.m) != {name for name, _ in student.named_parameters()}:
-        raise CheckpointError(f"{ckpt.path}: optimizer moments do not match the model")
-    return student, teacher, opt_state
+    (student, teacher, m, v), step = _read_records(
+        ckpt, run.model, ("student/", "teacher/", "opt/m/", "opt/v/"))
+    student = EncoderParams(run.model, _tensors(student, requires_grad=True))
+    tensors = _tensors(teacher)
+    teacher = TeacherState(EncoderParams(run.model, tensors), run.ema_momentum,
+                           run.center_momentum,
+                           centers=(tensors["center_cls"], tensors["center_patch"]))
+    return student, teacher, OptState(m, v, step)
 
 
 def params_from_checkpoint(path):
@@ -318,8 +345,8 @@ def params_from_checkpoint(path):
         run = build_run_config(parse_config_text(ckpt.config_text))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config echo ({e})") from None
-    params = _from_records(ckpt, "student/", lambda tensors: EncoderParams(run.model, tensors))
-    return params, run
+    (student,), _ = _read_records(ckpt, run.model, ("student/",))
+    return EncoderParams(run.model, _tensors(student)), run
 
 
 # -- the training loop -----------------------------------------------------------

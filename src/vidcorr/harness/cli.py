@@ -15,7 +15,6 @@ from . import (
     evaluate,
     load_run_config,
     params_from_checkpoint,
-    parse_value,
     propagate_and_save,
     train,
 )
@@ -72,7 +71,7 @@ def _collect_config(args):
         if "=" not in item:
             raise KeyError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = parse_value(value)
+        overrides[key.strip()] = value
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:

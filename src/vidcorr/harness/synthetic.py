@@ -156,8 +156,10 @@ def gen_synthetic_dataset(out_root, seed, train_videos, eval_videos, canvas, fra
 
     Returns the two split directories. Bad arguments raise a ValueError
     before anything is written."""
-    if canvas < 8 or frames < 1 or not 0.0 <= flicker_amplitude < 1.0:
-        raise ValueError("need canvas >= 8, frames >= 1 and 0 <= flicker < 1, got "
+    if (min(train_videos, eval_videos) < 0 or canvas < 8 or frames < 1
+            or not 0.0 <= flicker_amplitude < 1.0):
+        raise ValueError("need video counts >= 0, canvas >= 8, frames >= 1 and "
+                         f"0 <= flicker < 1, got {train_videos} and {eval_videos} videos, "
                          f"canvas {canvas}, frames {frames}, flicker {flicker_amplitude}")
     out_root = Path(out_root)
     splits = (("train", train_videos, False), ("val", eval_videos, True))

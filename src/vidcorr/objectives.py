@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vidcorr.encoder import take_named
 from vidcorr.numerics import (
     CROSS_ENTROPY_EPS,
     Tensor,
@@ -53,18 +52,17 @@ class TeacherState:
     plain numpy assignment between training steps."""
 
     def __init__(self, params, momentum, center_momentum, centers=None):
-        """centers: the (proj_dim,) center_cls and center_patch Tensors by
-        name, checked by take_named; zeros when None."""
+        """centers: the (proj_dim,) center_cls and center_patch Tensors;
+        zeros when None."""
         if any(t.requires_grad for _, t in params.named_parameters()):
             raise ValueError("teacher parameters must not track gradients")
         self.params = params
         self.momentum = momentum
         self.center_momentum = center_momentum
-        specs = [(name, (params.config.proj_dim,)) for name in ("center_cls", "center_patch")]
         if centers is None:
-            centers = {name: Tensor(np.zeros(shape, params["cls_token"].dtype), name=name)
-                       for name, shape in specs}
-        self.center_cls, self.center_patch = take_named(specs, centers).values()
+            centers = [Tensor(np.zeros(params.config.proj_dim, params["cls_token"].dtype),
+                              name=name) for name in ("center_cls", "center_patch")]
+        self.center_cls, self.center_patch = centers
 
     @classmethod
     def from_student(cls, student_params, momentum, center_momentum):

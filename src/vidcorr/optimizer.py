@@ -117,32 +117,6 @@ class OptState:
             return {n: np.zeros_like(t.data) for n, t in params.named_parameters()}
         return cls(zeros(), zeros(), step=0)
 
-    def to_named_list(self):
-        """Flat (name, array) view for the checkpoint writer; the step
-        counter rides along as a float64 scalar (exact below 2**53)."""
-        items = [("step", np.array([self.step], dtype=np.float64))]
-        for name in self.m:
-            items.append((f"m/{name}", self.m[name]))
-        for name in self.v:
-            items.append((f"v/{name}", self.v[name]))
-        return items
-
-    @classmethod
-    def from_named_list(cls, items):
-        m, v, step = {}, {}, 0
-        for name, arr in items:
-            if name == "step":
-                step = int(arr[0])
-            elif name.startswith("m/"):
-                m[name[2:]] = arr
-            elif name.startswith("v/"):
-                v[name[2:]] = arr
-            else:
-                raise ValueError(f"unexpected optimizer record {name!r}")
-        if m.keys() != v.keys():
-            raise ValueError("moment buffers do not pair up")
-        return cls(m, v, step)
-
 
 def decay_exempt(name, tensor):
     return tensor.data.ndim <= 1 or name in DECAY_EXEMPT_NAMES

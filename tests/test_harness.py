@@ -28,7 +28,6 @@ from vidcorr.harness import (
     load_run_config,
     params_from_checkpoint,
     parse_config_text,
-    parse_value,
     propagate_and_save,
     restore_state,
     save_checkpoint,
@@ -122,20 +121,41 @@ def dataset_root(tmp_path_factory):
 
 class TestConfigValues:
     def test_scalar_parsing(self):
-        assert parse_value("16") == 16
-        assert parse_value(" 0.3 ") == 0.3
-        assert parse_value("1e-3") == 1e-3
-        assert parse_value("true") is True
-        assert parse_value("False") is False
-        assert parse_value("locals") == "locals"
+        """Each value takes its key's declared type; text keys keep what
+        looks like a number or a bool."""
+        run = build_run_config({"view.clip_len": " 16 ", "gate_probability": "1",
+                                "opt.eps": "1e-3", "prop.include_first_frame": "true",
+                                "view.flip_jitter_target": "none", "out": "123",
+                                "data": "true"})
+        assert run.view.clip_len == 16 and type(run.view.clip_len) is int
+        assert run.gate_probability == 1.0 and type(run.gate_probability) is float
+        assert run.opt.eps == 1e-3
+        assert run.prop.include_first_frame is True
+        assert (run.view.flip_jitter_target, run.out, run.data) == ("none", "123", "true")
+
+    @pytest.mark.parametrize("key, text, kind", [
+        ("batch", "2.5", "an integer"), ("model.depth", "2.0", "an integer"),
+        ("temp.student", "inf", "a finite number"), ("temp.student", "1/2", "a finite number"),
+        ("prop.include_first_frame", "True", "true or false"),
+        ("mask_ratio", "0.1,nan", "a comma list of finite numbers")])
+    def test_wrong_type_rejected(self, key, text, kind):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} = '.*' is not {kind}$"):
+            build_run_config({key: text})
 
     def test_comma_makes_tuples(self):
-        assert parse_value("0.3,0.8") == (0.3, 0.8)
-        assert parse_value("1, 2, 3") == (1, 2, 3)
+        run = build_run_config({"mask_ratio": "0.3, 0.8", "view.local_scale": "1,1",
+                                "out": "a,b"})
+        assert run.mask_ratio == (0.3, 0.8)
+        assert run.view.local_scale == (1.0, 1.0)
+        assert all(type(v) is float for v in run.view.local_scale)
+        assert run.out == "a,b"
 
     def test_config_text_comments_and_blanks(self):
-        pairs = parse_config_text("# header\n\nseed = 7\nepochs=3  # inline\n")
-        assert pairs == {"seed": 7, "epochs": 3}
+        """parse_config_text hands over raw value text; build_run_config
+        types it."""
+        pairs = parse_config_text("# header\n\nseed = 7\nepochs=3  # inline\n"
+                                  "out = a, b\n")
+        assert pairs == {"seed": "7", "epochs": "3", "out": "a, b"}
 
     def test_config_text_rejects_bare_lines(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -297,6 +317,12 @@ class TestBuildRunConfig:
         assert canonical_config_text(load_run_config(REPO / "examples" / "desk.cfg")) \
             == DESK_ECHO
 
+    def test_one_echo_per_value(self):
+        """1 and 1.0 parse to one float, so they echo alike."""
+        texts = {canonical_config_text(build_run_config({"gate_probability": value}))
+                 for value in ("1", "1.0", " 1.00", 1, 1.0)}
+        assert len(texts) == 1 and "gate_probability = 1.0\n" in texts.pop()
+
     def test_load_run_config_applies_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\nepochs = 4\n")
@@ -397,6 +423,22 @@ def micro_state(run):
     return student, teacher, OptState.init(student)
 
 
+def rewrite_records(path, edit):
+    """Replace the records of the checkpoint at path by edit(records),
+    keeping its header."""
+    ckpt = load_checkpoint(path)
+    header = path.read_bytes()[:17 + len(ckpt.config_text.encode())]
+    path.write_bytes(header + named_list_bytes(edit(list(ckpt.records))))
+
+
+def replaced(name, value):
+    return lambda records: [(n, value if n == name else a) for n, a in records]
+
+
+def dropped(name):
+    return lambda records: [(n, a) for n, a in records if n != name]
+
+
 class TestCheckpointFormat:
     def make(self, tmp_path, run=None, distinct=False):
         """A checkpoint of a fresh micro state; distinct=True first moves
@@ -491,20 +533,68 @@ class TestCheckpointFormat:
     def test_bad_teacher_record_names_the_file(self, tmp_path, record, shape):
         """A missing (shape None) or mis-shaped teacher record."""
         path, run, *_ = self.make(tmp_path)
-        ckpt = load_checkpoint(path)
         if shape is None:
-            records = [(n, a) for n, a in ckpt.records if n != record]
+            rewrite_records(path, dropped(record))
             problem = "is missing"
         else:
-            records = [(n, np.zeros(shape, np.float32) if n == record else a)
-                       for n, a in ckpt.records]
+            rewrite_records(path, replaced(record, np.zeros(shape, np.float32)))
             problem = "has shape"
-        buf = path.read_bytes()
-        path.write_bytes(buf[:17 + len(ckpt.config_text.encode())]
-                         + named_list_bytes(records))
         with pytest.raises(CheckpointError,
                            match=f"^{re.escape(str(path))}: record {record} {problem}"):
             restore_state(load_checkpoint(path), run)
+
+    @pytest.mark.parametrize("record, problem, edit", [
+        ("opt/m/head/out_bias", "has shape",
+         replaced("opt/m/head/out_bias", np.zeros(1, np.float32))),
+        ("opt/m/head/out_bias", "has shape",
+         replaced("opt/m/head/out_bias", np.zeros(3, np.float32))),
+        ("opt/step", "has shape", replaced("opt/step", np.zeros(0))),
+        ("opt/step", "holds 2.5", replaced("opt/step", np.array([2.5]))),
+        ("opt/step", "holds -3.0", replaced("opt/step", np.array([-3.0]))),
+        ("opt/step", "holds nan", replaced("opt/step", np.array([np.nan]))),
+        ("opt/step", "is missing", dropped("opt/step")),
+        ("opt/v/head/out_bias", "is missing", dropped("opt/v/head/out_bias")),
+        ("student/extra", "is unexpected",
+         lambda records: records + [("student/extra", np.zeros(1, np.float32))]),
+        ("student/patch_proj/weight", "is unexpected",
+         lambda records: records + records[:1]),
+    ], ids=["moment-shape-1", "moment-shape-3", "empty-step", "fractional-step",
+            "negative-step", "nan-step", "no-step", "missing-moment", "extra-record",
+            "repeated-record"])
+    def test_corrupt_record_names_file_and_record(self, dataset_root, tmp_path, capsys,
+                                                  record, problem, edit):
+        """Every loader refuses the file, and train --resume exits 2
+        before it writes anything."""
+        out = tmp_path / "o"
+        pairs = micro_pairs(dataset_root, out)
+        path, run, *_ = self.make(tmp_path, build_run_config(pairs))
+        rewrite_records(path, edit)
+        message = f"^{re.escape(str(path))}: record {re.escape(record)} {problem}"
+        with pytest.raises(CheckpointError, match=message):
+            restore_state(load_checkpoint(path), run)
+        with pytest.raises(CheckpointError, match=message):
+            params_from_checkpoint(path)
+        assert main(["train"] + cli_sets(pairs) + ["--resume", str(path)]) == 2
+        assert f"{path}: record {record} {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float64_records_load_as_float32_copies(self, tmp_path):
+        """Parameters, centers and moments written as float64 come back
+        as owned float32 arrays with the same values."""
+        path, run, *_ = self.make(tmp_path, distinct=True)
+        original = path.read_bytes()
+        rewrite_records(path, lambda records: [
+            (n, a if n == "opt/step" else a.astype(np.float64)) for n, a in records])
+        ckpt = load_checkpoint(path)
+        assert all(a.dtype == np.float64 for _, a in ckpt.records)
+        student, teacher, opt_state = restore_state(ckpt, run)
+        arrays = list(opt_state.m.values()) + list(opt_state.v.values())
+        arrays += [t.data for p in (student, teacher.params) for _, t in p.named_parameters()]
+        arrays += [teacher.center_cls.data, teacher.center_patch.data]
+        for arr in arrays:
+            assert arr.dtype == np.float32 and arr.flags.owndata and arr.flags.writeable
+        assert checkpoint_bytes(student, teacher, opt_state, ckpt.step,
+                                ckpt.config_text) == original
 
     def test_bad_resume_checkpoint_writes_nothing(self, dataset_root, tmp_path):
         run = build_run_config(micro_pairs(dataset_root, tmp_path / "o"))
@@ -916,8 +1006,9 @@ class TestCli:
     # epochs, a zero rate, a beta past 1, mask ratios that are not a pair
     # 0 <= lo <= hi <= 1, a center momentum past 1, model sizes that would
     # divide by zero or fail in numpy mid-run, crop sizes that are not
-    # positive multiples of the 4-pixel patch, and jitter strengths
-    # outside [0, 1].
+    # positive multiples of the 4-pixel patch, jitter strengths outside
+    # [0, 1], and values not of their key's type: fractions or float text
+    # for integer keys, a bool for a float key, non-finite floats.
     @pytest.mark.parametrize("bad", [
         "bogus_key=1", "no-equals-sign", "data=", "epochs=1", "epochs=0",
         "opt.lr_scale_constant=0", "opt.beta1=1.5", "mask_ratio=0.5,1.5",
@@ -926,7 +1017,12 @@ class TestCli:
         "model.mlp_ratio=0", "model.proj_dim=0", "model.proj_hidden=-1",
         "view.global_size=18", "view.global_size=0", "view.local_size=30",
         "view.local_size=0", "view.brightness=-1", "view.brightness=2",
-        "view.contrast=-1", "view.saturation=2"])
+        "view.contrast=-1", "view.saturation=2",
+        "batch=2.5", "view.clip_len=4.0", "view.locals_per_frame=1.5",
+        "model.depth=2.0", "model.patch_size=4.0", "prop.top_k=2.5",
+        "checkpoint_every=0.5", "seed=1.5", "gate_probability=true",
+        "temp.student=inf", "temp.student=nan", "prop.temperature=nan",
+        "prop.include_first_frame=1"])
     def test_usage_errors_exit_1(self, bad, dataset_root, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["train"] + cli_sets(micro_pairs(dataset_root, out))
@@ -936,12 +1032,35 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         "--canvas=4", "--canvas=7", "--frames=0", "--flicker=1.5", "--flicker=1",
-        "--flicker=-0.5"])
+        "--flicker=-0.5", "--train-videos=-2", "--eval-videos=-1"])
     def test_gen_data_usage_errors_exit_1(self, bad, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["gen-data", "--out", str(out), "--frames", "4", bad]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, out", [("2024", "123"), ("true", "a,b"),
+                                           ("1.5", "true")])
+    def test_paths_are_text(self, dataset_root, tmp_path, monkeypatch, capsys,
+                            data, out):
+        """data and out are taken as text, whatever they look like."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(dataset_root, data)
+        pairs = micro_pairs(data, out, epochs=1, **{"opt.warmup_epochs": 0})
+        assert main(["train"] + cli_sets(pairs)) == 0
+        assert (Path(out) / "checkpoint_000.ckpt").exists()
+        assert f"out = {out}\n" in (Path(out) / "config.txt").read_text()
+
+    def test_resume_under_an_equal_value_written_otherwise(self, dataset_root,
+                                                           tmp_path):
+        """A run set with gate_probability=1 resumes under 1.0."""
+        out = tmp_path / "o"
+        pairs = micro_pairs(dataset_root, out)
+        assert main(["train"] + cli_sets(pairs) + ["--set", "gate_probability=1"]) == 0
+        final = (out / "checkpoint_001.ckpt").read_bytes()
+        assert main(["train"] + cli_sets(pairs) + ["--set", "gate_probability=1.0",
+                     "--resume", str(out / "checkpoint_000.ckpt")]) == 0
+        assert (out / "checkpoint_001.ckpt").read_bytes() == final
 
     def test_training_video_shorter_than_clip_exits_2(self, tmp_path, capsys):
         data, out = tmp_path / "d", tmp_path / "o"

@@ -7,9 +7,12 @@ deliberate re-export). No function rebinds a module-level name with a
 ``global`` statement: behaviour follows from a call's inputs, not from
 process-wide state. A public top-level function or class must be
 read by the program itself (src/, perfbench/ or scripts/), not only by
-tests."""
+tests. The package imports the standard library, numpy and itself
+alone: pyproject.toml's runtime dependencies are numpy, and scipy stays
+a test-only import."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,28 @@ def test_no_public_name_only_tests_use():
     unused = [f"{path.relative_to(SRC)}: {name}" for path in sorted(SRC.rglob("*.py"))
               for name in public_definitions(path.read_text()) if name not in reads]
     assert unused == []
+
+
+def imported_modules(text):
+    """Top-level names of the modules ``text`` imports, relative imports
+    left out."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_gate_sees_imported_modules():
+    text = ("import os.path\nimport numpy as np\nfrom scipy.special import erf\n"
+            "from . import x\nfrom .y import z\ndef f():\n    import json\n")
+    assert imported_modules(text) == {"os", "numpy", "scipy", "json"}
+
+
+def test_runtime_dependencies_are_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "vidcorr"}
+    extra = [f"{path.relative_to(SRC)}: {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in sorted(imported_modules(path.read_text()) - allowed)]
+    assert extra == []

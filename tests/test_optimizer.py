@@ -8,7 +8,15 @@ import pytest
 
 from vidcorr.encoder import EncoderParams, ModelConfig
 from vidcorr.numerics import Rng, Tensor, named_list_bytes, parse_named_list
-from vidcorr.harness import build_run_config
+from vidcorr.harness import (
+    CheckpointError,
+    build_run_config,
+    canonical_config_text,
+    checkpoint_bytes,
+    load_checkpoint,
+    restore_state,
+)
+from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import (
     OptimizerConfig,
     OptState,
@@ -270,29 +278,50 @@ class TestAdamwStep:
 
 
 class TestOptStateSerialization:
-    def test_round_trip_through_records(self):
-        params = micro_params(6)
+    """The optimizer state goes to disk inside a checkpoint:
+    checkpoint_bytes writes it and restore_state reads it back."""
+
+    def checkpoint(self, tmp_path, edit=lambda records: records):
+        """(path, run, opt_state) after two AdamW steps on fresh float32
+        parameters; edit rewrites the record list before it is saved."""
+        run = build_run_config({f"model.{k}": v for k, v in MICRO.items()})
+        params = EncoderParams.init(run.model, Rng(6))
         state = OptState.init(params)
         g = np.random.default_rng(7)
-        grads = {n: g.normal(size=t.shape) for n, t in params.named_parameters()}
+        grads = {n: g.normal(size=t.shape).astype(np.float32)
+                 for n, t in params.named_parameters()}
         for _ in range(2):
             adamw_step(params, grads, state, 1e-3, 0.1, OptimizerConfig())
-        blob = named_list_bytes(state.to_named_list())
-        items, _ = parse_named_list(blob)
-        back = OptState.from_named_list(items)
+        teacher = TeacherState.from_student(params, 0.9, 0.9)
+        text = canonical_config_text(run)
+        blob = checkpoint_bytes(params, teacher, state, 2, text)
+        header = 17 + len(text.encode())
+        records, _ = parse_named_list(blob, header)
+        path = tmp_path / "ck.ckpt"
+        path.write_bytes(blob[:header] + named_list_bytes(edit(records)))
+        return path, run, state
+
+    def test_round_trip_through_records(self, tmp_path):
+        path, run, state = self.checkpoint(tmp_path)
+        ckpt = load_checkpoint(path)
+        student, teacher, back = restore_state(ckpt, run)
         assert back.step == 2
-        assert back.m.keys() == state.m.keys()
+        assert list(back.m) == list(back.v) == list(state.m)
         for name in state.m:
             np.testing.assert_array_equal(back.m[name], state.m[name])
             np.testing.assert_array_equal(back.v[name], state.v[name])
+        assert checkpoint_bytes(student, teacher, back, ckpt.step,
+                                ckpt.config_text) == path.read_bytes()
 
-    def test_unknown_record_rejected(self):
-        with pytest.raises(ValueError, match="unexpected"):
-            OptState.from_named_list([("zz/x", np.zeros(1))])
+    def test_unknown_record_rejected(self, tmp_path):
+        path, run, _ = self.checkpoint(
+            tmp_path, lambda records: records + [("opt/zz/x", np.zeros(1))])
+        with pytest.raises(CheckpointError, match="record opt/zz/x is unexpected"):
+            restore_state(load_checkpoint(path), run)
 
-    def test_unpaired_moments_rejected(self):
-        with pytest.raises(ValueError, match="pair"):
-            OptState.from_named_list([
-                ("step", np.array([1.0])),
-                ("m/w", np.zeros(1)),
-            ])
+    def test_unpaired_moments_rejected(self, tmp_path):
+        path, run, _ = self.checkpoint(
+            tmp_path, lambda records: [(n, a) for n, a in records
+                                       if n != "opt/v/cls_token"])
+        with pytest.raises(CheckpointError, match="record opt/v/cls_token is missing"):
+            restore_state(load_checkpoint(path), run)
