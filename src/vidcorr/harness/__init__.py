@@ -512,7 +512,8 @@ class TrainResult:
 
 def train(run, resume=None, progress=None):
     """Run the full schedule; checkpoints land in run.out every epoch.
-    Every training video is read and checked before anything is written.
+    Every training video is read and checked before anything is written,
+    and the split must hold at least ``run.batch`` videos.
 
     resume: a checkpoint from the same config, also checked up front;
     covered steps are skipped without drawing randomness, so a resumed
@@ -529,6 +530,10 @@ def train(run, resume=None, progress=None):
         if len(source) < run.view.clip_span:
             raise ValueError(f"{source.directory}: video of {len(source)} frames "
                              f"too short for clip span {run.view.clip_span}")
+    if len(sources) < run.batch:
+        # every step would train on fewer clips than the lr is scaled for
+        raise ValueError(f"{split / 'videos.txt'}: lists {len(sources)} training videos, "
+                         f"fewer than batch {run.batch}")
     videos = [source.frames() for source in sources]
 
     config_text = canonical_config_text(run)

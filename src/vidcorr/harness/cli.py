@@ -7,6 +7,7 @@ their outputs byte for byte.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,18 @@ from . import (
     train,
 )
 from .synthetic import gen_synthetic_dataset
+
+
+def _finite_positive(text):
+    """argparse type of --step: nan, inf, zero and negative steps are
+    usage errors, refused before any work."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -58,7 +71,8 @@ def build_parser():
     p.add_argument("--data", help="dataset root (defaults to the checkpoint's)")
 
     p = sub.add_parser("grad-check", help="finite-difference check of the training losses")
-    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step")
+    p.add_argument("--step", type=_finite_positive, default=1e-3,
+                   help="finite-difference step, a finite positive number")
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -1080,6 +1080,25 @@ class TestCli:
         assert str(data / "train" / "videos.txt") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fewer_training_videos_than_batch_exits_2(self, tmp_path, capsys):
+        """A step would train on 3 clips while the lr is scaled for 8."""
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(["gen-data", "--out", str(data), "--frames", "25", "--canvas", "16",
+                     "--train-videos", "3", "--eval-videos", "1"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--set", f"data={data}", "--set", f"out={out}",
+                     "--set", "batch=8"]) == 2
+        err = capsys.readouterr().err
+        assert str(data / "train" / "videos.txt") in err
+        assert "3 training videos" in err and "batch 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.001", "inf", "-inf", "tiny"])
+    def test_grad_check_step_must_be_finite_and_positive(self, step, capsys):
+        assert main(["grad-check", f"--step={step}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--step" in captured.err
+
     def test_runtime_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nothing.ckpt"
         assert main(["eval", "--checkpoint", str(missing),

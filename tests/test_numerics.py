@@ -35,7 +35,7 @@ from vidcorr.numerics import (
 from vidcorr.encoder import EncoderParams, ModelConfig, forward_batch, patchify_batch
 from vidcorr.harness import build_run_config, step_losses
 from vidcorr.harness.synthetic import gen_synthetic_dataset
-from vidcorr.numerics.tensor import _consumed, _result
+from vidcorr.numerics.tensor import _Node, _consumed, _result
 from vidcorr.objectives import TeacherState, loss_in_mim
 from vidcorr.views import load_store, make_crops, sample_clip, sample_clip_masks
 from vidcorr.numerics.rng import _fnv1a
@@ -490,8 +490,8 @@ class TestBackward:
         assert len(interior) == 5
         backward(root)
         for node in interior:
-            assert node._parents == () and node.grad is None
-            assert node._vjp is _consumed
+            assert node.parents == () and node.vjp is _consumed
+        assert h.grad is None and root.grad is None
         assert all(t.grad is not None for t in (x, w, b))
 
     def test_second_backward_raises(self):
@@ -507,43 +507,33 @@ class TestBackward:
         assert np.array_equal(x.grad, [4.0, 8.0])
 
     def test_activations_freed_during_backward(self):
-        """An activation dies once the VJPs that read it have run, before
-        the pass reaches the nodes below it."""
-        x = t64(np.random.default_rng(41).normal(size=(4, 5)), requires_grad=True)
+        """An activation that no VJP reads dies when the forward drops
+        it; one that a VJP reads dies once that VJP has run, before the
+        pass reaches the nodes below it."""
+        g = np.random.default_rng(41)
+        x = t64(g.normal(size=(4, 5)), requires_grad=True)
+        w = t64(g.normal(size=(4, 5)), requires_grad=True)
         freed = []
 
         def low_vjp(g):
-            freed.append(probe() is None)
+            freed.append(low_probe() is None)
             return (g * 2.0,)
 
-        high = gelu(_result(x.data * 2.0, (x,), low_vjp))
+        low = _result(x.data * 2.0, (x,), low_vjp)
+        low_probe = weakref.ref(low.data)
+        high = gelu(mul(low, w))
         probe = weakref.ref(high.data)
         root = tensor_sum(high)
-        del high
-        assert probe() is not None  # held through tensor_sum's VJP
+        del low, high
+        assert probe() is None  # tensor_sum's VJP reads only a shape
+        assert low_probe() is not None  # mul's VJP reads it for w's gradient
         backward(root)
         assert freed == [True]
 
     def test_desk_step_matches_frozen_backward(self, tmp_path):
         """Every parameter gradient of one desk step_losses graph equals,
         byte for byte, what the graph-keeping backward below gives."""
-        from test_acceptance import DESK_CONFIG
-
-        gen_synthetic_dataset(tmp_path, 0, train_videos=2, eval_videos=0,
-                              canvas=32, frames=12)
-        run = build_run_config(DESK_CONFIG)
-        view = run.view
-        gh, gw = run.model.token_grid(view.global_size, view.global_size)
-        step = Rng(3).substream("step0")
-        crops, clip_masks = [], []
-        for i, source in enumerate(load_store(tmp_path / "train")):
-            crng = step.substream(f"clip{i}")
-            frames = sample_clip(source.frames(), crng.substream("frames"), view)
-            crops.append(make_crops(frames, crng.substream("crops"), view))
-            clip_masks.append(sample_clip_masks(gh * gw, view.clip_len, crng.substream("mask"),
-                                                run.gate_probability, run.mask_ratio))
-        student = EncoderParams.init(run.model, Rng(3).substream("init"))
-        teacher = TeacherState.from_student(student, run.ema_momentum, run.center_momentum)
+        crops, clip_masks, student, teacher, run = desk_step_inputs(tmp_path)
 
         def param_grads(backward_fn):
             total = step_losses(crops, clip_masks, student, teacher, run)[0].total
@@ -559,26 +549,99 @@ class TestBackward:
         for name, grad in want.items():
             assert same_bits(got[name], grad), name
 
+    def test_desk_graph_holds_no_tensors(self, tmp_path):
+        """Over a desk step_losses graph, every edge points at a node or
+        a leaf, and no VJP closure holds a Tensor: the graph keeps only
+        the arrays its VJPs read."""
+        crops, clip_masks, student, teacher, run = desk_step_inputs(tmp_path)
+        total = step_losses(crops, clip_masks, student, teacher, run)[0].total
+        nodes = graph_nodes(total)
+        assert len(nodes) > 100
+        for node in nodes:
+            for parent in node.parents:
+                assert (parent is None or isinstance(parent, _Node)
+                        or (isinstance(parent, Tensor) and parent._node is None))
+            cells = node.vjp.__closure__ or ()
+            assert not any(holds_tensor(c.cell_contents) for c in cells), node.vjp
+
+    def test_desk_residual_freed_while_graph_alive(self, tmp_path, monkeypatch):
+        """The residual sum that feeds each block's norm2 is freed when
+        the forward drops it: layer_norm's VJP reads its normalized copy,
+        and the next residual add reads only shapes."""
+        import vidcorr.encoder as encoder
+
+        crops, clip_masks, student, teacher, run = desk_step_inputs(tmp_path)
+        probes = []
+
+        def probed_layer_norm(x, gamma, beta, eps=1e-5):
+            if gamma.requires_grad and gamma.name.endswith("norm2/gamma"):
+                probes.append(weakref.ref(x.data))
+            return layer_norm(x, gamma, beta, eps)
+
+        monkeypatch.setattr(encoder, "layer_norm", probed_layer_norm)
+        total = step_losses(crops, clip_masks, student, teacher, run)[0].total
+        assert len(probes) == 3 * run.model.depth  # the three student forwards
+        assert all(probe() is None for probe in probes)
+        backward(total)
+        assert all(t.grad is not None for _, t in student.named_parameters())
+
+
+def desk_step_inputs(tmp_path):
+    """Crops, masks, student and teacher of one seeded desk train step
+    over a 2-video corpus, with criterion 7's desk config."""
+    from test_acceptance import DESK_CONFIG
+
+    gen_synthetic_dataset(tmp_path, 0, train_videos=2, eval_videos=0,
+                          canvas=32, frames=12)
+    run = build_run_config(DESK_CONFIG)
+    view = run.view
+    gh, gw = run.model.token_grid(view.global_size, view.global_size)
+    step = Rng(3).substream("step0")
+    crops, clip_masks = [], []
+    for i, source in enumerate(load_store(tmp_path / "train")):
+        crng = step.substream(f"clip{i}")
+        frames = sample_clip(source.frames(), crng.substream("frames"), view)
+        crops.append(make_crops(frames, crng.substream("crops"), view))
+        clip_masks.append(sample_clip_masks(gh * gw, view.clip_len, crng.substream("mask"),
+                                            run.gate_probability, run.mask_ratio))
+    student = EncoderParams.init(run.model, Rng(3).substream("init"))
+    teacher = TeacherState.from_student(student, run.ema_momentum, run.center_momentum)
+    return crops, clip_masks, student, teacher, run
+
+
+def holds_tensor(value):
+    """Whether ``value`` is a Tensor or holds one in a tuple, a list or
+    the closure of a function."""
+    if isinstance(value, Tensor):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(holds_tensor(v) for v in value)
+    if callable(value) and getattr(value, "__closure__", None):
+        return any(holds_tensor(c.cell_contents) for c in value.__closure__)
+    return False
+
 
 def graph_nodes(root):
     """Every interior node reachable from root."""
-    found, stack = {}, [root]
+    found, stack = {}, [root._node]
     while stack:
         node = stack.pop()
-        if node._vjp is not None and id(node) not in found:
+        if isinstance(node, _Node) and id(node) not in found:
             found[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return list(found.values())
 
 
 def reference_backward(root):
     """backward as it was before it consumed the graph: every visited
-    node, interior ones included, keeps its grad, and the VJP closures
-    stay alive with the graph. Frozen here as the oracle for the leaf
-    gradients: same VJPs, same order, same flow sums."""
+    node keeps its grad (a leaf in ``.grad``, an interior node in the
+    returned dict, keyed by node id), and the VJP closures stay alive
+    with the graph. Frozen here as the oracle for the leaf gradients:
+    same VJPs, same order, same flow sums."""
+    start = root if root._node is None else root._node
     topo = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(start, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -588,23 +651,26 @@ def reference_backward(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in getattr(node, "parents", ()):
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
 
-    flows = {id(root): np.ones_like(root.data)}
+    interior = {}
+    flows = {id(start): np.ones_like(root.data)}
     for node in reversed(topo):
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
+        if isinstance(node, Tensor):
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+        interior[id(node)] = g
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             flows[key] = pg if key not in flows else flows[key] + pg
+    return interior
 
 
 def check(f, x, atol=1e-4):
