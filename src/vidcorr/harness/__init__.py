@@ -7,6 +7,7 @@ named substreams keyed by step number, so training is reproducible
 byte-for-byte and resumable mid-run without replaying work.
 """
 
+import logging
 import math
 import os
 import struct
@@ -39,6 +40,7 @@ from vidcorr.numerics import (
     reshape,
     scale,
 )
+from vidcorr.numerics.rng import _seed
 from vidcorr.objectives import (
     TeacherState,
     TemperatureConfig,
@@ -76,6 +78,7 @@ from vidcorr.views import (
 
 from .synthetic import gen_synthetic_dataset  # noqa: F401
 
+log = logging.getLogger(__name__)
 
 # -- configuration ---------------------------------------------------------------
 
@@ -85,7 +88,7 @@ class RunConfig:
     """Every setting of a run: the top-level keys, then one dataclass per
     dotted section, each key with one default and one check. The checks
     here span keys (warmup_epochs < epochs, crop sizes in whole patches)
-    or belong to no section (mask_ratio a pair with 0 <= lo <= hi <= 1,
+    or belong to no section (the seed, 0 <= lo <= hi <= 1 for mask_ratio,
     both momenta in [0, 1]). canonical_config_text echoes this order."""
 
     seed: int = 0
@@ -106,6 +109,7 @@ class RunConfig:
     prop: PropagationConfig = field(default_factory=PropagationConfig)
 
     def __post_init__(self):
+        _seed(self.seed)
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be positive")
         if self.opt.warmup_epochs >= self.epochs:
@@ -121,11 +125,9 @@ class RunConfig:
         for name in ("ema_momentum", "center_momentum"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        ratio = self.mask_ratio
-        if not (isinstance(ratio, tuple) and len(ratio) == 2
-                and 0.0 <= ratio[0] <= ratio[1] <= 1.0):
-            raise ValueError(f"mask_ratio {ratio!r} must be a pair lo,hi "
-                             "with 0 <= lo <= hi <= 1")
+        lo, hi = self.mask_ratio
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"mask_ratio {self.mask_ratio!r} must have 0 <= lo <= hi <= 1")
         if self.loss_mode not in ("full", "g2g"):
             raise ValueError("loss_mode must be 'full' or 'g2g'")
         if self.checkpoint_every < 0:
@@ -147,11 +149,15 @@ def _finite(text):
     raise ValueError(text)
 
 
+def _pair(text):
+    lo, hi = text.split(",")
+    return _finite(lo), _finite(hi)
+
+
 # per declared field type: the parser of a config value's text and what it takes
 _PARSERS = {int: (int, "an integer"), float: (_finite, "a finite number"),
             bool: ({"true": True, "false": False}.__getitem__, "true or false"),
-            tuple: (lambda text: tuple(map(_finite, text.split(","))),
-                    "a comma list of finite numbers"),
+            tuple: (_pair, "a comma list of finite numbers lo,hi"),
             str: (str, "text")}
 
 
@@ -193,12 +199,6 @@ def build_run_config(pairs):
         (buckets[section] if section else top)[name] = _parse_field(key, value)
     sections = {name: cls(**buckets[name]) for name, cls in _SECTIONS.items()}
     return RunConfig(**top, **sections)
-
-
-def load_run_config(path, overrides=None):
-    pairs = parse_config_text(Path(path).read_text())
-    pairs.update(overrides or {})
-    return build_run_config(pairs)
 
 
 def _format_value(value):
@@ -396,7 +396,7 @@ def step_losses(crops, clip_masks, student, teacher, run):
 
     t_cls, t_patch = forward_batch(
         patchify_batch(global_images, teacher.params, model), teacher.params, model)
-    td_cls = teacher_distribution(t_cls, teacher, temps, "cls")
+    td_cls = teacher_distribution(t_cls, teacher.center_cls, temps.teacher)
 
     def class_logits(images):
         seq = patchify_batch(images, student, model)
@@ -440,7 +440,7 @@ def step_losses(crops, clip_masks, student, teacher, run):
         counts = clip_masks[i].sum(axis=1).tolist()
         n_rows = sum(counts)
         tdp_i = teacher_distribution(Tensor(t_rows[offset:offset + n_rows]),
-                                     teacher, temps, "patch")
+                                     teacher.center_patch, temps.teacher)
         mim_terms.append(loss_in_mim(tdp_i, narrow(sd_rows, 0, offset, n_rows),
                                      clip_len))
         aff_terms.append(clip_affinity_loss(t_rows[offset:offset + n_rows],
@@ -464,8 +464,11 @@ def step_losses(crops, clip_masks, student, teacher, run):
 def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
     """One optimization step over one clip of each (T, H, W, 3) video in group.
 
-    Returns (breakdown, lr, wd, gated_any, applied); applied is False
-    when a non-finite loss or gradient skipped the update."""
+    Returns (breakdown, lr, wd, gated_any, applied). The step alone
+    decides whether the update applies: a non-finite loss or gradient
+    skips it with a warning that names the step and the reason (the
+    parameter, for a gradient), and leaves the student, the teacher,
+    both centers and opt_state untouched; applied is then False."""
     view, model = run.view, run.model
     srng = rng.substream(f"step{step}")
     gh, gw = model.token_grid(view.global_size, view.global_size)
@@ -490,17 +493,21 @@ def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
     wd = wd_at(step, schedule)
 
     if not np.isfinite(breakdown.total.data):
+        log.warning("train step %d skipped: non-finite loss", step)
         return breakdown, lr, wd, gated, False
 
     backward(breakdown.total)
     grads = {name: t.grad for name, t in student.named_parameters()}
-    applied = adamw_step(student, grads, opt_state, lr, wd, run.opt)
     for _, t in student.named_parameters():
         t.zero_grad()
-    if applied:
-        ema_update(teacher, student)
-        center_update(teacher, t_cls, t_patch)
-    return breakdown, lr, wd, gated, applied
+    for name, g in grads.items():
+        if g is not None and not np.isfinite(g).all():
+            log.warning("train step %d skipped: non-finite gradient in %s", step, name)
+            return breakdown, lr, wd, gated, False
+    adamw_step(student, grads, opt_state, lr, wd, run.opt)
+    ema_update(teacher, student)
+    center_update(teacher, t_cls, t_patch)
+    return breakdown, lr, wd, gated, True
 
 
 @dataclass
@@ -521,8 +528,6 @@ def train(run, resume=None, progress=None):
     included. Three consecutive non-finite steps abort."""
     split = Path(run.data) / "train"
     sources = load_store(split)
-    if not sources:
-        raise ValueError(f"{split / 'videos.txt'}: lists no training videos")
     for source in sources:
         if source.has_masks:
             raise ValueError(
@@ -553,7 +558,7 @@ def train(run, resume=None, progress=None):
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_text)
 
-    steps_per_epoch = max(1, len(videos) // run.batch)
+    steps_per_epoch = len(videos) // run.batch
     schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch,
                         run.epochs)
 
@@ -611,13 +616,26 @@ def predict_masks(frames, first_mask, params, model_config, prop_config):
     return [labels_to_mask(lm, model_config.patch_size) for lm in label_maps]
 
 
+def _inference_video(source, model_config, first_only):
+    """(frames, masks) of one video, every mask for eval or the first for
+    propagate, checked before any frame is encoded: frames split into
+    whole patches, and an eval video has a frame beyond the first."""
+    frames = source.frames()
+    try:
+        model_config.token_grid(*frames.shape[1:3])
+        if len(frames) < 2 and not first_only:
+            raise ValueError("a track needs a frame beyond the first")
+    except ValueError as e:
+        raise ValueError(f"{source.directory}: {e}") from None
+    return frames, source.masks(frames, first_only)
+
+
 def evaluate(params, model_config, prop_config, eval_root):
     """Label propagation over every eval video, scored against the
     stored masks. Returns (SequenceScores, report text)."""
     tracks = []
     for source in load_store(Path(eval_root)):
-        frames = source.frames()
-        truth = source.masks(frames)
+        frames, truth = _inference_video(source, model_config, first_only=False)
         pred = predict_masks(frames, truth[0], params, model_config, prop_config)
         # only the objects of the first-frame mask are propagated
         for obj in np.unique(truth[0]):
@@ -630,9 +648,8 @@ def evaluate(params, model_config, prop_config, eval_root):
 
 def propagate_and_save(params, model_config, prop_config, video_dir, out_dir):
     """Inference on one video directory: writes predicted mask_*.pgm."""
-    source = VideoSource(video_dir)
-    frames = source.frames()
-    first = source.masks(frames, first_only=True)[0]
+    frames, (first,) = _inference_video(VideoSource(video_dir), model_config,
+                                        first_only=True)
     masks = predict_masks(frames, first, params, model_config, prop_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,15 +7,18 @@ their outputs byte for byte.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
+from vidcorr.numerics.gradcheck import DEFAULT_STEP
+from vidcorr.numerics.rng import _seed
+
 from . import (
+    _finite,
     build_run_config,
     evaluate,
-    load_run_config,
     params_from_checkpoint,
+    parse_config_text,
     propagate_and_save,
     train,
 )
@@ -26,12 +29,20 @@ def _finite_positive(text):
     """argparse type of --step: nan, inf, zero and negative steps are
     usage errors, refused before any work."""
     try:
-        value = float(text)
+        value = _finite(text)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
+        value = 0.0
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
     return value
+
+
+def _seed_arg(text):
+    """argparse type of every --seed: a bad seed is a usage error."""
+    try:
+        return _seed(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def build_parser():
@@ -44,11 +55,11 @@ def build_parser():
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--seed", type=_seed_arg, help="override the run seed")
 
     p = sub.add_parser("gen-data", help="write a synthetic moving-shapes dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--train-videos", type=int, default=8)
     p.add_argument("--eval-videos", type=int, default=4)
     p.add_argument("--canvas", type=int, default=32)
@@ -71,9 +82,9 @@ def build_parser():
     p.add_argument("--data", help="dataset root (defaults to the checkpoint's)")
 
     p = sub.add_parser("grad-check", help="finite-difference check of the training losses")
-    p.add_argument("--step", type=_finite_positive, default=1e-3,
+    p.add_argument("--step", type=_finite_positive, default=DEFAULT_STEP,
                    help="finite-difference step, a finite positive number")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     return parser
 
 
@@ -89,9 +100,8 @@ def _collect_config(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        if args.config:
-            return load_run_config(args.config, overrides)
-        return build_run_config(overrides)
+        pairs = parse_config_text(Path(args.config).read_text()) if args.config else {}
+        return build_run_config({**pairs, **overrides})
     except (TypeError, ValueError) as e:
         raise KeyError(str(e)) from None
 

@@ -10,7 +10,8 @@ central-difference sweep under a second per loss.
 import numpy as np
 
 from vidcorr.harness import clip_affinity_loss
-from vidcorr.numerics import Tensor, gather_rows, grad_check, narrow, reshape
+from vidcorr.numerics import Tensor, gather_rows, grad_check, narrow, reshape, softmax_t
+from vidcorr.numerics.gradcheck import DEFAULT_STEP
 from vidcorr.objectives import (
     TemperatureConfig,
     loss_in_mim,
@@ -29,21 +30,15 @@ WIDTH = 16
 MASKS = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=bool)
 
 
-def _teacher_rows(g, shape):
-    logits = g.normal(size=shape)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def loss_fidelity_report(seed=0, h=1e-3):
+def loss_fidelity_report(seed=0, h=DEFAULT_STEP):
     """[(loss name, max relative error)] for the four losses and the
     equal-weight total, each checked against central differences."""
     g = np.random.default_rng(seed)
     temps = TemperatureConfig()
     pairs = make_frame_pairs(CLIP_LEN)
 
-    td_cls = Tensor(_teacher_rows(g, (CLIP_LEN, WIDTH)))
-    td_patch = _teacher_rows(g, (CLIP_LEN, TOKENS, WIDTH))
+    td_cls = softmax_t(Tensor(g.normal(size=(CLIP_LEN, WIDTH))))
+    td_patch = softmax_t(Tensor(g.normal(size=(CLIP_LEN, TOKENS, WIDTH)))).data
     t_patch_raw = g.normal(size=(CLIP_LEN, TOKENS, WIDTH))
     # masked rows frame by frame, as step_losses gathers them
     crop_idx, patch_idx = np.nonzero(MASKS)

@@ -30,7 +30,8 @@ _COLOR_ANCHORS = np.array([
 
 @dataclass
 class SyntheticSceneSpec:
-    """Everything needed to render one clip deterministically."""
+    """Everything needed to render one clip deterministically, as
+    :func:`random_scene_spec` draws it: 1..3 objects on the canvas."""
 
     canvas: int
     frames: int
@@ -41,24 +42,6 @@ class SyntheticSceneSpec:
     starts: list  # (y, x) float top-left corners
     velocities: list  # (vy, vx) pixels per frame
     flicker: tuple = ()  # per-frame (r, g, b) gains; empty = constant lighting
-
-    def __post_init__(self):
-        n = len(self.shapes)
-        if not 1 <= n <= 3:
-            raise ValueError(f"scene needs 1..3 objects, got {n}")
-        if not (len(self.sizes) == len(self.colors) == len(self.starts)
-                == len(self.velocities) == n):
-            raise ValueError("per-object lists must share one length")
-        for kind in self.shapes:
-            if kind not in SHAPE_KINDS:
-                raise ValueError(f"unknown shape {kind!r}")
-        for size in self.sizes:
-            if not 2 <= size <= self.canvas:
-                raise ValueError(f"shape size {size} does not fit canvas {self.canvas}")
-        if self.flicker and len(self.flicker) != self.frames:
-            raise ValueError("flicker needs one gain triple per frame")
-        if any(g <= 0 for gains in self.flicker for g in gains):
-            raise ValueError("flicker gains must be positive")
 
 
 def random_scene_spec(rng, canvas, frames, flicker_amplitude):

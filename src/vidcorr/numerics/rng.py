@@ -1,18 +1,32 @@
 """Deterministic randomness built on the counter-based Philox generator.
 
-A single 64-bit seed fans out into independent named substreams
-(``rng.substream("init")``, ``rng.substream("step3/clip0")``, ...), so
+A single seed, an integer in [0, 2**64), fans out into independent
+named substreams (``rng.substream("init")``, ``rng.substream("step3/clip0")``, ...), so
 data sampling, masking, jitter, and parameter init never share a stream
 and inserting draws in one place cannot shift any other. Substream keys
 are derived by hashing the path with 64-bit FNV-1a; identical seed and
 path give identical draws on every platform numpy supports.
 """
 
+import operator
+
 import numpy as np
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _seed(value):
+    """value, an integer or its decimal text, as a seed: the one rule of
+    every seed is an integer in [0, 2**64), the Philox key's first word."""
+    try:
+        seed = int(value) if isinstance(value, str) else operator.index(value)
+        if 0 <= seed <= _MASK64:
+            return seed
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"seed must be an integer in [0, 2**64), got {value!r}")
 
 
 def _fnv1a(data, state=_FNV_OFFSET):
@@ -32,7 +46,7 @@ class Rng:
     __slots__ = ("seed", "path", "_key", "_gen")
 
     def __init__(self, seed, _path="", _key=None):
-        self.seed = int(seed) & _MASK64
+        self.seed = _seed(seed)
         self.path = _path
         self._key = _fnv1a(_path.encode("utf-8")) if _key is None else _key
         self._gen = None

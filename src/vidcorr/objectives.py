@@ -69,20 +69,13 @@ class TeacherState:
         return cls(student_params.clone(), momentum, center_momentum)
 
 
-def teacher_distribution(logits, state, temps, kind):
-    """Center raw teacher logits and sharpen: softmax_t(z - c, teacher τ).
-
-    kind selects the class-token or patch-token center."""
+def teacher_distribution(logits, center, temperature):
+    """Center raw teacher logits and sharpen: softmax_t(z - c, τ), with c
+    the caller's center (``TeacherState.center_cls`` for class-token
+    logits, ``center_patch`` for patch tokens) and τ the teacher's."""
     if logits.requires_grad:
         raise ValueError("teacher_distribution expects detached logits (stop-gradient teacher)")
-    if kind == "cls":
-        center = state.center_cls
-    elif kind == "patch":
-        center = state.center_patch
-    else:
-        raise ValueError(f"unknown center kind {kind!r}")
-    shifted = add(logits, scale(center, -1.0))
-    return softmax_t(shifted, temperature=temps.teacher)
+    return softmax_t(add(logits, scale(center, -1.0)), temperature=temperature)
 
 
 def student_distribution(logits, temps):
@@ -224,16 +217,11 @@ def total_loss(out_g2g, out_l2g, in_mim, in_aff):
 
 def ema_update(state, student_params):
     """teacher <- m * teacher + (1 - m) * student with m = state.momentum,
-    elementwise, outside any gradient graph. Mutates and returns the
-    state."""
+    elementwise, outside any gradient graph; both parameter trees come
+    from one ``param_specs`` layout. Mutates and returns the state."""
     m = state.momentum
-    teacher_named = state.params.named_parameters()
-    student_named = student_params.named_parameters()
-    if [n for n, _ in teacher_named] != [n for n, _ in student_named]:
-        raise ValueError("teacher and student parameter trees differ")
-    for (_, t), (_, s) in zip(teacher_named, student_named):
-        if t.shape != s.shape:
-            raise ValueError(f"shape mismatch for {t.name}: {t.shape} vs {s.shape}")
+    for (_, t), (_, s) in zip(state.params.named_parameters(),
+                              student_params.named_parameters()):
         t.data = m * t.data + (1.0 - m) * s.data
     return state
 

@@ -7,13 +7,10 @@ own half cosine from 0.04 up to 0.4 across the whole run, warmup
 included.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Parameters that skip weight decay: every 1-d tensor (biases, norm
 # scales) and the two learned tokens.
@@ -123,17 +120,16 @@ def decay_exempt(name, tensor):
 
 
 def adamw_step(params, grads, state, lr, wd, config):
-    """One decoupled-decay update over every parameter.
+    """One decoupled-decay update over every parameter; always applies.
 
     grads maps parameter name to an array; a missing or None entry
     counts as a zero gradient (e.g. the mask token on gated-off steps).
-    Any non-finite gradient skips the whole step, leaving params and
-    state untouched. config: the OptimizerConfig, for its betas and eps.
-    Returns True when the step applied.
+    The caller decides whether a step applies: ``harness.train_step``
+    skips the update on a non-finite loss or gradient. config: the
+    OptimizerConfig, for its betas and eps.
     """
-    named = params.named_parameters()
     updates = []
-    for name, t in named:
+    for name, t in params.named_parameters():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(t.data)
@@ -142,10 +138,6 @@ def adamw_step(params, grads, state, lr, wd, config):
             if g.shape != t.data.shape:
                 raise ValueError(
                     f"gradient for {name} has shape {g.shape}, want {t.data.shape}")
-            if not np.isfinite(g).all():
-                log.warning("non-finite gradient in %s; step %d skipped",
-                            name, state.step)
-                return False
         updates.append((name, t, g))
 
     b1, b2 = config.beta1, config.beta2
@@ -160,4 +152,3 @@ def adamw_step(params, grads, state, lr, wd, config):
         if wd and not decay_exempt(name, t):
             update = update + wd * t.data
         t.data = t.data - lr * update
-    return True

@@ -74,10 +74,9 @@ def make_frame_pairs(clip_len):
     """Zip the clip's halves: 0-based pairs (n, L/2 + n).
 
     For L=6 that reads [(0, 3), (1, 4), (2, 5)]; every frame of the
-    first half meets its offset partner in the second.
+    first half meets its offset partner in the second. clip_len is even
+    and >= 2, as :class:`ViewConfig` checks.
     """
-    if clip_len < 2 or clip_len % 2:
-        raise ValueError(f"clip length must be even and >= 2, got {clip_len}")
     half = clip_len // 2
     return [(n, half + n) for n in range(half)]
 

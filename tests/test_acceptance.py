@@ -171,8 +171,9 @@ def test_criterion_3_teacher_machinery(capsys):
     shifted = TeacherState.from_student(student_a, 0.996, 0.0)
     center_update(plain, Tensor(logits), Tensor(logits))
     center_update(shifted, Tensor(logits + shift), Tensor(logits + shift))
-    d_plain = teacher_distribution(Tensor(logits), plain, temps, "cls").data
-    d_shift = teacher_distribution(Tensor(logits + shift), shifted, temps, "cls").data
+    d_plain = teacher_distribution(Tensor(logits), plain.center_cls, temps.teacher).data
+    d_shift = teacher_distribution(Tensor(logits + shift), shifted.center_cls,
+                                   temps.teacher).data
     bitwise = d_plain.tobytes() == d_shift.tobytes()
 
     ok = ema_err < 1e-7 and bitwise
@@ -239,6 +240,7 @@ def _propagation_instance(seed, frames=10, h=16, w=16, d=8, classes=4):
     return target, context
 
 
+@pytest.mark.slow
 def test_criterion_5_propagation_oracle(capsys):
     """The production kernel against the exhaustive reference, bitwise,
     on 104 seeded 16x16 instances with 10-frame contexts and top-5
@@ -321,6 +323,7 @@ DESK_CONFIG = parse_config_text(
     (Path(__file__).resolve().parents[1] / "examples" / "desk.cfg").read_text())
 
 
+@pytest.mark.slow
 def test_criterion_7_training_trend(capsys, tmp_path):
     """Desk-scale end-to-end: 8 training videos at 32x32, 200 steps (50
     epochs x 4 steps), 3 seeds. (a) the trained student beats the

@@ -6,6 +6,7 @@ Everything here runs on a micro setup (16x16 canvas, embed 8, depth 1)
 so the whole file stays in the seconds range."""
 
 import hashlib
+import logging
 import math
 import re
 import shlex
@@ -25,7 +26,6 @@ from vidcorr.harness import (
     evaluate,
     gen_synthetic_dataset,
     load_checkpoint,
-    load_run_config,
     params_from_checkpoint,
     parse_config_text,
     propagate_and_save,
@@ -34,7 +34,7 @@ from vidcorr.harness import (
     train,
     train_step,
 )
-from vidcorr.harness.cli import main
+from vidcorr.harness.cli import _collect_config, build_parser, main
 from vidcorr.harness.synthetic import (
     SyntheticSceneSpec,
     random_scene_spec,
@@ -137,7 +137,10 @@ class TestConfigValues:
         ("batch", "2.5", "an integer"), ("model.depth", "2.0", "an integer"),
         ("temp.student", "inf", "a finite number"), ("temp.student", "1/2", "a finite number"),
         ("prop.include_first_frame", "True", "true or false"),
-        ("mask_ratio", "0.1,nan", "a comma list of finite numbers")])
+        ("mask_ratio", "0.1,nan", "a comma list of finite numbers lo,hi"),
+        ("mask_ratio", "0.3", "a comma list of finite numbers lo,hi"),
+        ("view.local_scale", "0.5", "a comma list of finite numbers lo,hi"),
+        ("view.global_scale", "0.8,0.9,0.95", "a comma list of finite numbers lo,hi")])
     def test_wrong_type_rejected(self, key, text, kind):
         with pytest.raises(ValueError, match=f"^{re.escape(key)} = '.*' is not {kind}$"):
             build_run_config({key: text})
@@ -314,8 +317,8 @@ class TestBuildRunConfig:
 
     def test_config_echo_is_pinned(self):
         assert canonical_config_text(build_run_config({})) == DEFAULT_ECHO
-        assert canonical_config_text(load_run_config(REPO / "examples" / "desk.cfg")) \
-            == DESK_ECHO
+        desk = parse_config_text((REPO / "examples" / "desk.cfg").read_text())
+        assert canonical_config_text(build_run_config(desk)) == DESK_ECHO
 
     def test_one_echo_per_value(self):
         """1 and 1.0 parse to one float, so they echo alike."""
@@ -324,10 +327,21 @@ class TestBuildRunConfig:
         assert len(texts) == 1 and "gate_probability = 1.0\n" in texts.pop()
 
     def test_load_run_config_applies_overrides(self, tmp_path):
+        """The command line reads --config, then --set and --seed
+        override its keys."""
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\nepochs = 4\n")
-        run = load_run_config(path, {"seed": 2})
-        assert (run.seed, run.epochs) == (2, 4)
+        path.write_text("seed = 1\nepochs = 4\nbatch = 3\n")
+        args = build_parser().parse_args(["train", "--config", str(path), "--seed", "2",
+                                          "--set", "batch=5"])
+        run = _collect_config(args)
+        assert (run.seed, run.epochs, run.batch) == (2, 4, 5)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_range_rejected(self, seed):
+        """A seed is an integer in [0, 2**64); Rng no longer wraps one."""
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            build_run_config({"seed": seed})
+        assert build_run_config({"seed": str(2 ** 64 - 1)}).seed == 2 ** 64 - 1
 
 
 class TestSyntheticScenes:
@@ -371,12 +385,6 @@ class TestSyntheticScenes:
             inside = frame[masks[t] == 1]
             want = np.clip(0.4 * np.asarray(g), 0.0, 1.0)
             assert np.allclose(inside, want), f"frame {t}"
-
-    def test_flicker_validation(self):
-        with pytest.raises(ValueError, match="per frame"):
-            self.static_spec(flicker=((1.0, 1.0, 1.0),))
-        with pytest.raises(ValueError, match="positive"):
-            self.static_spec(flicker=(((1.0, 1.0, 1.0),) * 3 + ((0.0, 1.0, 1.0),)))
 
     def test_random_spec_is_deterministic(self):
         a = random_scene_spec(Rng(11), canvas=16, frames=4, flicker_amplitude=0.25)
@@ -768,6 +776,48 @@ class TestTrainingLoop:
             train_step(0, [source.frames() for source in sources[:2]], student,
                        teacher, run, schedule, opt_state, Rng(run.seed))
 
+    def test_nonfinite_gradient_skips_step(self, dataset_root, monkeypatch, caplog):
+        """A NaN gradient skips the update: train_step returns applied
+        False, leaves the student, the teacher, both centers and the
+        optimizer state as they were, and warns naming the train step
+        and the parameter."""
+        import vidcorr.harness as harness
+
+        run = build_run_config(micro_pairs(dataset_root, "unused"))
+        group = [source.frames() for source in load_store(Path(run.data) / "train")[:2]]
+        student, teacher, opt_state = micro_state(run)
+        teacher.center_cls.data[:] = 0.5
+        teacher.center_patch.data[:] = -0.25
+        backward = harness.backward
+
+        def poisoned(loss):
+            backward(loss)
+            dict(student.named_parameters())["head/out_bias"].grad[1] = np.nan
+
+        def state():
+            arrays = [t.data for _, t in student.named_parameters()]
+            arrays += [t.data for _, t in teacher.params.named_parameters()]
+            arrays += [teacher.center_cls.data, teacher.center_patch.data]
+            arrays += list(opt_state.m.values()) + list(opt_state.v.values())
+            return [a.copy() for a in arrays], opt_state.step
+
+        monkeypatch.setattr(harness, "backward", poisoned)
+        schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch=2,
+                            total_epochs=run.epochs)
+        (before, step_before) = state()
+        with caplog.at_level(logging.WARNING, logger="vidcorr.harness"):
+            *_, applied = train_step(3, group, student, teacher, run, schedule,
+                                     opt_state, Rng(run.seed))
+        after, step_after = state()
+        assert applied is False
+        assert step_after == step_before == 0
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            assert np.array_equal(a, b)
+        assert all(t.grad is None for _, t in student.named_parameters())
+        assert [r.getMessage() for r in caplog.records] == [
+            "train step 3 skipped: non-finite gradient in head/out_bias"]
+
     def test_three_skipped_steps_abort(self, dataset_root, tmp_path,
                                        monkeypatch):
         """The loop tolerates isolated skipped updates but gives up after
@@ -1038,6 +1088,75 @@ class TestCli:
         assert main(["gen-data", "--out", str(out), "--frames", "4", bad]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5"])
+    @pytest.mark.parametrize("command", ["gen-data", "train", "grad-check"])
+    def test_seed_outside_range_exits_1(self, command, seed, dataset_root, tmp_path,
+                                        capsys):
+        """Every --seed takes an integer in [0, 2**64), refused before
+        any work with a message that names the option."""
+        out = tmp_path / "out"
+        argv = {"gen-data": ["gen-data", "--out", str(out), "--frames", "4"],
+                "train": ["train"] + cli_sets(micro_pairs(dataset_root, out)),
+                "grad-check": ["grad-check"]}[command]
+        assert main(argv + ["--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: seed must be an integer in [0, 2**64), got '{seed}'" \
+            in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["seed=-1", f"seed={2 ** 64}", "view.local_scale=0.5",
+                                     "view.global_scale=0.8,0.9,0.95"])
+    def test_bad_value_names_its_key(self, bad, dataset_root, tmp_path, capsys):
+        """A seed out of range, or a pair key given one or three numbers,
+        is a usage error whose message starts with the key."""
+        out = tmp_path / "out"
+        assert main(["train"] + cli_sets(micro_pairs(dataset_root, out))
+                    + ["--set", bad]) == 1
+        key = bad.split("=")[0]
+        assert re.search(f"usage error: {re.escape(key)} ", capsys.readouterr().err)
+        assert not out.exists()
+
+    def inference_inputs(self, tmp_path, canvas, frames):
+        """(data root, checkpoint) of an eval split and a micro-model
+        checkpoint with 4-pixel patches."""
+        data = tmp_path / "d"
+        gen_synthetic_dataset(data, seed=1, train_videos=0, eval_videos=1,
+                              canvas=canvas, frames=frames)
+        run = build_run_config(micro_pairs(data, tmp_path / "o"))
+        student, teacher, opt_state = micro_state(run)
+        ckpt = save_checkpoint(tmp_path / "ck.ckpt", student, teacher, opt_state, 1,
+                               canonical_config_text(run))
+        return data, ckpt
+
+    def no_encoding(self, monkeypatch):
+        import vidcorr.harness as harness
+
+        def refuse(*args):
+            raise AssertionError("a frame was encoded")
+        monkeypatch.setattr(harness, "extract_inference_features", refuse)
+
+    def test_one_frame_eval_video_names_the_video(self, tmp_path, monkeypatch, capsys):
+        data, ckpt = self.inference_inputs(tmp_path, canvas=16, frames=1)
+        self.no_encoding(monkeypatch)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data / 'val' / 'video_000'}: a track needs a frame beyond " \
+            "the first" in err
+
+    @pytest.mark.parametrize("command", ["eval", "propagate"])
+    def test_frames_off_the_patch_grid_name_the_video(self, command, tmp_path,
+                                                      monkeypatch, capsys):
+        data, ckpt = self.inference_inputs(tmp_path, canvas=10, frames=3)
+        self.no_encoding(monkeypatch)
+        video = data / "val" / "video_000"
+        argv = {"eval": ["--data", str(data)],
+                "propagate": ["--video", str(video), "--out", str(tmp_path / "pred")]}
+        assert main([command, "--checkpoint", str(ckpt)] + argv[command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {video}: crop 10x10 not divisible by patch size 4" in err
+        assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("data, out", [("2024", "123"), ("true", "a,b"),
                                            ("1.5", "true")])

@@ -770,6 +770,17 @@ class TestRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(Rng(1).uniform(size=8), Rng(2).uniform(size=8))
 
+    def test_seed_outside_range_refused(self):
+        """A seed is an integer in [0, 2**64): 2**64 no longer wraps to
+        0, nor -1 to 2**64 - 1."""
+        for seed in (-1, 2 ** 64, 1.5, None):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                Rng(seed)
+        top = Rng(2 ** 64 - 1)
+        assert top.seed == 2 ** 64 - 1
+        assert np.array_equal(top.substream("x").uniform(size=3),
+                              Rng(2 ** 64 - 1).substream("x").uniform(size=3))
+
     def test_substreams_are_independent_of_order(self):
         r = Rng(7)
         a_first = r.substream("a").uniform(size=4)

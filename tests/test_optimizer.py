@@ -1,6 +1,5 @@
 """Schedule arithmetic and AdamW update contracts."""
 
-import logging
 import math
 
 import numpy as np
@@ -167,9 +166,7 @@ class TestAdamwStep:
     def test_zero_grads_zero_wd_is_identity(self):
         params = ScalarParams(1.5, bias=-0.25)
         state = OptState.init(params)
-        applied = adamw_step(params, {}, state, lr=1e-3, wd=0.0,
-                             config=OptimizerConfig())
-        assert applied
+        adamw_step(params, {}, state, lr=1e-3, wd=0.0, config=OptimizerConfig())
         assert params["w"].data[0, 0] == 1.5
         assert params["b"].data[0] == -0.25
         assert state.step == 1
@@ -219,18 +216,6 @@ class TestAdamwStep:
         assert decay_exempt("cls_token", params["cls_token"])
         assert decay_exempt("mask_token", params["mask_token"])
         assert not decay_exempt("patch_proj/weight", params["patch_proj/weight"])
-
-    def test_nonfinite_gradient_skips_step(self, caplog):
-        params = ScalarParams(1.0)
-        state = OptState.init(params)
-        bad = {"w": np.array([[np.nan]])}
-        with caplog.at_level(logging.WARNING, logger="vidcorr.optimizer"):
-            applied = adamw_step(params, bad, state, lr=0.1, wd=0.1,
-                                 config=OptimizerConfig())
-        assert not applied
-        assert params["w"].data[0, 0] == 1.0
-        assert state.step == 0
-        assert any("non-finite" in r.message for r in caplog.records)
 
     def test_shape_mismatch_rejected(self):
         params = ScalarParams(1.0)

@@ -73,10 +73,6 @@ class TestFramePairs:
         assert make_frame_pairs(2) == [(0, 1)]
         assert make_frame_pairs(4) == [(0, 2), (1, 3)]
 
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError):
-            make_frame_pairs(5)
-
     def test_perfect_matching(self):
         for clip_len in (2, 4, 6, 8, 10):
             pairs = make_frame_pairs(clip_len)
