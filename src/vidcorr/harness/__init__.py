@@ -462,13 +462,18 @@ def step_losses(crops, clip_masks, student, teacher, run):
 
 
 def train_step(step, group, student, teacher, run, schedule, opt_state, rng):
-    """One optimization step over one clip of each (T, H, W, 3) video in group.
+    """One optimization step over one clip of each video in group, each
+    a :class:`vidcorr.views.VideoSource` or a (T, H, W, 3) array.
 
     Returns (breakdown, lr, wd, gated_any, applied). The step alone
     decides whether the update applies: a non-finite loss or gradient
     skips it with a warning that names the step and the reason (the
     parameter, for a gradient), and leaves the student, the teacher,
-    both centers and opt_state untouched; applied is then False."""
+    both centers and opt_state untouched; applied is then False. The
+    loss check is a rail only: a training forward raises on a non-finite
+    activation (``forward_batch``, ``softmax_t``) before any loss forms,
+    and the cross-entropies clamp their log, so in practice only a
+    non-finite gradient skips a step."""
     view, model = run.view, run.model
     srng = rng.substream(f"step{step}")
     gh, gw = model.token_grid(view.global_size, view.global_size)
@@ -519,8 +524,10 @@ class TrainResult:
 
 def train(run, resume=None, progress=None):
     """Run the full schedule; checkpoints land in run.out every epoch.
-    Every training video is read and checked before anything is written,
-    and the split must hold at least ``run.batch`` videos.
+    Every frame of every training video is checked from its header and
+    size before anything is written, and the split must hold at least
+    ``run.batch`` videos. A step decodes only the frames its clips
+    sample.
 
     resume: a checkpoint from the same config, also checked up front;
     covered steps are skipped without drawing randomness, so a resumed
@@ -539,7 +546,8 @@ def train(run, resume=None, progress=None):
         # every step would train on fewer clips than the lr is scaled for
         raise ValueError(f"{split / 'videos.txt'}: lists {len(sources)} training videos, "
                          f"fewer than batch {run.batch}")
-    videos = [source.frames() for source in sources]
+    for source in sources:
+        source.check()
 
     config_text = canonical_config_text(run)
     rng = Rng(run.seed)
@@ -558,7 +566,7 @@ def train(run, resume=None, progress=None):
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_text)
 
-    steps_per_epoch = len(videos) // run.batch
+    steps_per_epoch = len(sources) // run.batch
     schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch,
                         run.epochs)
 
@@ -573,12 +581,12 @@ def train(run, resume=None, progress=None):
     step = 0
     with open(log_path, "a" if resume else "w") as log_fh:
         for epoch in range(run.epochs):
-            order = rng.substream(f"epoch{epoch}").permutation(len(videos))
+            order = rng.substream(f"epoch{epoch}").permutation(len(sources))
             for b in range(steps_per_epoch):
                 if step < start_step:
                     step += 1
                     continue
-                group = [videos[j] for j in order[b * run.batch:(b + 1) * run.batch]]
+                group = [sources[j] for j in order[b * run.batch:(b + 1) * run.batch]]
                 breakdown, lr, wd, gated, applied = train_step(
                     step, group, student, teacher, run, schedule, opt_state, rng)
                 line = breakdown.log_line(step, lr, wd, gated)

@@ -548,6 +548,11 @@ def attention(qkv, heads, name, queries=None):
     # the scores are fresh and nothing else reads them
     attn = _softmax(np.multiply(scores, inv_t, out=scores), -1)
     mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, m, d)
+    if queries is not None:
+        # the VJP reads no other query row: a copy of the key and value
+        # columns alone lets qkv be freed after the forward
+        x = x[:, :, d:].copy()
+        k_t, v = np.transpose(split(0), (0, 1, 3, 2)), split(d)
 
     def vjp(g):
         g = np.transpose(g.reshape(b, m, heads, dh), (0, 2, 1, 3))
@@ -557,7 +562,7 @@ def attention(qkv, heads, name, queries=None):
         g_q = g_scores @ np.swapaxes(k_t, -1, -2)
         g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, (0, 1, 3, 2))
         # accumulate into zeros as the graph's flow sum does, so -0.0 -> +0.0
-        full = np.zeros(x.shape, dtype=g.dtype)
+        full = np.zeros((b, n, d3), dtype=g.dtype)
         parts = full.reshape(b, n, 3, heads, dh)
         parts[at + (0,)] += np.transpose(g_q, (0, 2, 1, 3))
         for i, part in ((1, g_k), (2, g_v)):

@@ -8,7 +8,7 @@ one crop family cannot shift any other family's draws.
 
 import logging
 import math
-import re
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,8 +84,9 @@ def make_frame_pairs(clip_len):
 def sample_clip(video, rng, config):
     """Pick a uniformly random start and return the clip_len frames
     spaced by the frameskip from there: a strided slice of ``video``, a
-    (T, H, W, 3) array (or any sequence of frames that slices) at least
-    ``clip_span`` frames long, as ``harness.train`` checks."""
+    :class:`VideoSource` (which decodes only those frames) or a
+    (T, H, W, 3) array, at least ``clip_span`` frames long, as
+    ``harness.train`` checks."""
     span = config.clip_span
     start = int(rng.integers(0, len(video) - span + 1))
     return video[start:start + span:config.frameskip]
@@ -308,35 +309,48 @@ def write_pgm(path, mask):
         fh.write(arr.astype(np.uint8).tobytes())
 
 
-def _read_pnm(path, magic, channels):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(magic):
+def _pnm_header(fh, path, magic, channels):
+    """Read the header of the PNM file open as ``fh``: magic, width,
+    height and maxval 255, with # comments allowed. Checks that the file
+    holds every pixel byte the header promises, and returns the image
+    shape, (H, W, channels) or (H, W) for one channel, leaving ``fh`` at
+    the first pixel byte."""
+    if fh.read(2) != magic:
         raise ValueError(f"{path}: expected {magic.decode()} file")
-    # header: magic, width, height, maxval; # comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        match = re.match(rb"\s*(#[^\n]*\n|\S+)", raw[pos:])
-        if match is None:
+    fields = []
+    while len(fields) < 3:
+        byte = fh.read(1)
+        while byte.isspace():
+            byte = fh.read(1)
+        if byte == b"#":
+            fh.readline()
+            continue
+        token = b""
+        # reading the token also takes the one whitespace byte after it,
+        # which after maxval is the last header byte
+        while byte and not byte.isspace():
+            token += byte
+            byte = fh.read(1)
+        if not token:
             raise ValueError(f"{path}: truncated header")
-        tok = match.group(1)
-        pos += match.end()
-        if not tok.startswith(b"#"):
-            if not tok.isdigit():
-                raise ValueError(f"{path}: header field {tok!r} is not a number")
-            tokens.append(int(tok))
-    width, height, maxval = tokens
+        if not token.isdigit():
+            raise ValueError(f"{path}: header field {token!r} is not a number")
+        fields.append(int(token))
+    width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
     size = width * height * channels
-    pixels = memoryview(raw)[pos:pos + size]
-    if len(pixels) < size:
-        raise ValueError(f"{path}: truncated pixel data ({len(pixels)} of {size} bytes)")
-    data = np.frombuffer(pixels, dtype=np.uint8)
-    shape = (height, width, channels) if channels > 1 else (height, width)
-    return data.reshape(shape)
+    present = os.fstat(fh.fileno()).st_size - fh.tell()
+    if present < size:
+        raise ValueError(f"{path}: truncated pixel data ({present} of {size} bytes)")
+    return (height, width, channels) if channels > 1 else (height, width)
+
+
+def _read_pnm(path, magic, channels):
+    with open(path, "rb") as fh:
+        shape = _pnm_header(fh, path, magic, channels)
+        pixels = fh.read(math.prod(shape))
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(shape)
 
 
 def read_ppm(path):
@@ -349,10 +363,20 @@ def read_pgm(path):
     return _read_pnm(path, b"P5", 1).copy()
 
 
+def _check_frame_shape(path, shape, first):
+    if shape != first:
+        raise ValueError(f"{path}: frame shape {shape[:2]} "
+                         f"differs from the first frame's {first[:2]}")
+
+
 class VideoSource:
     """One video directory: frame_*.ppm and, in eval splits, mask_*.pgm.
-    :meth:`frames` and :meth:`masks` read each file once and check it
-    against the video, naming the file that fails."""
+
+    Frames are decoded on demand: ``source[i]`` reads frame i, and a
+    slice reads only its frames, as one (n, H, W, 3) float32 array, each
+    checked against the video's shape from :meth:`check`. :meth:`masks`
+    reads each mask once and checks it against the frames. A file that
+    fails names itself."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -362,25 +386,41 @@ class VideoSource:
         self.has_masks = bool(self.mask_paths)
         if not self.frame_paths:
             raise ValueError(f"no frames under {self.directory}")
+        self._shape = None
 
     def __len__(self):
         return len(self.frame_paths)
 
     def __getitem__(self, i):
-        return read_ppm(self.frame_paths[i])
+        if not isinstance(i, slice):
+            return read_ppm(self.frame_paths[i])
+        shape = self.check()
+        paths = self.frame_paths[i]
+        frames = [read_ppm(path) for path in paths]
+        for path, frame in zip(paths, frames):
+            _check_frame_shape(path, frame.shape, shape)
+        return np.stack(frames)
 
     def mask(self, i):
         return read_pgm(self.mask_paths[i])
 
+    def check(self):
+        """The (H, W, 3) shape of every frame, checked on the first call
+        from each file's header and size alone, without decoding pixels:
+        magic P6, maxval 255, the first frame's width and height, and
+        every pixel byte present."""
+        if self._shape is None:
+            shapes = []
+            for path in self.frame_paths:
+                with open(path, "rb") as fh:
+                    shapes.append(_pnm_header(fh, path, b"P6", 3))
+                _check_frame_shape(path, shapes[-1], shapes[0])
+            self._shape = shapes[0]
+        return self._shape
+
     def frames(self):
-        """Every frame as one (T, H, W, 3) float32 array; a frame whose
-        size is not the first frame's raises."""
-        frames = [read_ppm(path) for path in self.frame_paths]
-        for path, frame in zip(self.frame_paths, frames):
-            if frame.shape != frames[0].shape:
-                raise ValueError(f"{path}: frame shape {frame.shape[:2]} "
-                                 f"differs from the first frame's {frames[0].shape[:2]}")
-        return np.stack(frames)
+        """Every frame as one (T, H, W, 3) float32 array: ``self[:]``."""
+        return self[:]
 
     def masks(self, frames, first_only=False):
         """The (T, H, W) uint8 masks of ``frames``, this video's (T, H, W, 3)

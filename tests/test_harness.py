@@ -12,6 +12,7 @@ import re
 import shlex
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from vidcorr.harness.synthetic import (
     render_scene,
 )
 from vidcorr.metrics import score_track
-from vidcorr.numerics import Rng, named_list_bytes
+from vidcorr.numerics import Rng, named_list_bytes, scale
 from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState, Schedule
 from vidcorr.propagation import PropagationConfig, propagate_video
@@ -431,6 +432,37 @@ def micro_state(run):
     return student, teacher, OptState.init(student)
 
 
+def skipped_step_message(run, group, student, teacher, opt_state, caplog):
+    """Run train step 3 on nonzero teacher centers, check that it applied
+    nothing and left the student, the teacher, both centers and the
+    optimizer state as they were, and return its one warning."""
+    teacher.center_cls.data[:] = 0.5
+    teacher.center_patch.data[:] = -0.25
+
+    def state():
+        arrays = [t.data for _, t in student.named_parameters()]
+        arrays += [t.data for _, t in teacher.params.named_parameters()]
+        arrays += [teacher.center_cls.data, teacher.center_patch.data]
+        arrays += list(opt_state.m.values()) + list(opt_state.v.values())
+        return [a.copy() for a in arrays], opt_state.step
+
+    schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch=2,
+                        total_epochs=run.epochs)
+    before, step_before = state()
+    with caplog.at_level(logging.WARNING, logger="vidcorr.harness"):
+        *_, applied = train_step(3, group, student, teacher, run, schedule,
+                                 opt_state, Rng(run.seed))
+    after, step_after = state()
+    assert applied is False
+    assert step_after == step_before == 0
+    assert len(after) == len(before)
+    for a, b in zip(after, before):
+        assert np.array_equal(a, b)
+    assert all(t.grad is None for _, t in student.named_parameters())
+    (record,) = caplog.records
+    return record.getMessage()
+
+
 def rewrite_records(path, edit):
     """Replace the records of the checkpoint at path by edit(records),
     keeping its header."""
@@ -756,12 +788,31 @@ class TestTrainingLoop:
         assert lines["full"][2] != "0.000000"
 
     @pytest.mark.parametrize("epochs", [2, 3])
-    def test_each_training_frame_is_read_once(self, dataset_root, tmp_path,
-                                              monkeypatch, epochs):
+    def test_frames_are_decoded_only_by_the_steps(self, dataset_root, tmp_path,
+                                                  monkeypatch, epochs):
+        """The up-front check reads headers alone, nothing is decoded
+        before step 0, and a step decodes at most its clips' frames."""
+        import vidcorr.harness as harness
+
         reads = count_reads(monkeypatch)
-        train(build_run_config(micro_pairs(dataset_root, tmp_path / "o", epochs=epochs)))
-        frames = sorted((dataset_root / "train").glob("*/frame_*.ppm"))
-        assert len(frames) == 24 and reads == Counter(frames)
+        sources = load_store(dataset_root / "train")
+        assert all(source.check() == (16, 16, 3) for source in sources)
+        assert not reads
+        step_reads = []
+
+        def counted_step(*args):
+            before = sum(reads.values())
+            # nothing was decoded outside a step: before step 0 nothing at all
+            assert before == sum(step_reads)
+            result = train_step(*args)
+            step_reads.append(sum(reads.values()) - before)
+            return result
+
+        monkeypatch.setattr(harness, "train_step", counted_step)
+        run = build_run_config(micro_pairs(dataset_root, tmp_path / "o", epochs=epochs))
+        assert train(run).steps == len(step_reads) == 2 * epochs
+        assert all(0 < n <= run.batch * run.view.clip_len for n in step_reads)
+        assert sum(reads.values()) == sum(step_reads)
 
     def test_poisoned_weights_fail_loudly(self, dataset_root):
         """NaN parameters do not propagate silently: the first softmax
@@ -786,37 +837,35 @@ class TestTrainingLoop:
         run = build_run_config(micro_pairs(dataset_root, "unused"))
         group = [source.frames() for source in load_store(Path(run.data) / "train")[:2]]
         student, teacher, opt_state = micro_state(run)
-        teacher.center_cls.data[:] = 0.5
-        teacher.center_patch.data[:] = -0.25
         backward = harness.backward
 
         def poisoned(loss):
             backward(loss)
             dict(student.named_parameters())["head/out_bias"].grad[1] = np.nan
 
-        def state():
-            arrays = [t.data for _, t in student.named_parameters()]
-            arrays += [t.data for _, t in teacher.params.named_parameters()]
-            arrays += [teacher.center_cls.data, teacher.center_patch.data]
-            arrays += list(opt_state.m.values()) + list(opt_state.v.values())
-            return [a.copy() for a in arrays], opt_state.step
-
         monkeypatch.setattr(harness, "backward", poisoned)
-        schedule = Schedule(run.opt, run.batch, run.view.clip_len, steps_per_epoch=2,
-                            total_epochs=run.epochs)
-        (before, step_before) = state()
-        with caplog.at_level(logging.WARNING, logger="vidcorr.harness"):
-            *_, applied = train_step(3, group, student, teacher, run, schedule,
-                                     opt_state, Rng(run.seed))
-        after, step_after = state()
-        assert applied is False
-        assert step_after == step_before == 0
-        assert len(after) == len(before)
-        for a, b in zip(after, before):
-            assert np.array_equal(a, b)
-        assert all(t.grad is None for _, t in student.named_parameters())
-        assert [r.getMessage() for r in caplog.records] == [
-            "train step 3 skipped: non-finite gradient in head/out_bias"]
+        assert skipped_step_message(run, group, student, teacher, opt_state, caplog) \
+            == "train step 3 skipped: non-finite gradient in head/out_bias"
+
+    def test_nonfinite_loss_skips_step(self, dataset_root, monkeypatch, caplog):
+        """The loss rail: a NaN total (which a training forward cannot
+        produce, as it raises first) skips the update as a NaN gradient
+        does, before any backward pass."""
+        import vidcorr.harness as harness
+
+        run = build_run_config(micro_pairs(dataset_root, "unused"))
+        group = load_store(Path(run.data) / "train")[:2]
+        student, teacher, opt_state = micro_state(run)
+        step_losses = harness.step_losses
+
+        def nan_total(*args):
+            breakdown, t_cls, t_patch = step_losses(*args)
+            return replace(breakdown, total=scale(breakdown.total, np.nan)), t_cls, t_patch
+
+        monkeypatch.setattr(harness, "step_losses", nan_total)
+        monkeypatch.setattr(harness, "backward", lambda loss: pytest.fail("backward ran"))
+        assert skipped_step_message(run, group, student, teacher, opt_state, caplog) \
+            == "train step 3 skipped: non-finite loss"
 
     def test_three_skipped_steps_abort(self, dataset_root, tmp_path,
                                        monkeypatch):
@@ -1286,6 +1335,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(path) in err and "usage error" not in err
         assert not out.exists()
+
+    def test_training_frame_resized_after_the_check_exits_2(self, dataset_root, tmp_path,
+                                                           capsys, monkeypatch):
+        """A frame that changes size between train's up-front check and
+        the step that samples it fails that step loudly, naming the file:
+        train() raises ValueError, and the CLI exits 2."""
+        import vidcorr.harness as harness
+
+        data = tmp_path / "data"
+        pairs = micro_pairs(data, tmp_path / "o")
+        step_fn = harness.train_step
+
+        def fresh_data():
+            shutil.rmtree(data, ignore_errors=True)
+            shutil.copytree(dataset_root / "train", data / "train")
+
+        def shrinking_step(step, *args):
+            if step == 1:
+                for path in (data / "train").glob("*/frame_*.ppm"):
+                    path.write_bytes(cropped_pnm(path.read_bytes(), 12))
+            return step_fn(step, *args)
+
+        monkeypatch.setattr(harness, "train_step", shrinking_step)
+        fresh_data()
+        with pytest.raises(ValueError) as raised:
+            train(build_run_config(pairs))
+        fresh_data()
+        assert main(["train"] + cli_sets(pairs)) == 2
+        for message in (str(raised.value), capsys.readouterr().err):
+            named = re.search(r"(\S+\.ppm): frame shape \(12, 12\) differs", message)
+            assert named and Path(named.group(1)).parent.parent == data / "train"
 
     def test_train_resume_matches_uninterrupted_run(self, dataset_root, tmp_path,
                                                     monkeypatch, capsys):

@@ -585,6 +585,27 @@ class TestBackward:
         backward(total)
         assert all(t.grad is not None for _, t in student.named_parameters())
 
+    def test_desk_last_block_qkv_freed_while_graph_alive(self, tmp_path, monkeypatch):
+        """The last block's (B, N, 3D) qkv projection is freed when the
+        forward drops it: with queries, attention's VJP keeps the chosen
+        query rows and the key and value columns, each copied."""
+        import vidcorr.encoder as encoder
+
+        crops, clip_masks, student, teacher, run = desk_step_inputs(tmp_path)
+        probes = []
+
+        def probed_attention(qkv, heads, name, queries=None):
+            if queries is not None and qkv.requires_grad:
+                probes.append(weakref.ref(qkv.data))
+            return attention(qkv, heads, name, queries)
+
+        monkeypatch.setattr(encoder, "attention", probed_attention)
+        total = step_losses(crops, clip_masks, student, teacher, run)[0].total
+        assert len(probes) == 3  # the last block of the three student forwards
+        assert all(probe() is None for probe in probes)
+        backward(total)
+        assert all(t.grad is not None for _, t in student.named_parameters())
+
 
 def desk_step_inputs(tmp_path):
     """Crops, masks, student and teacher of one seeded desk train step

@@ -1,5 +1,7 @@
 """Tests for clip sampling, crops, masks, and the video store."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -416,6 +418,7 @@ class TestPnmStore:
         video = source.frames()
         assert video.shape == (3, 8, 8, 3) and video.dtype == np.float32
         assert all(np.array_equal(video[i], source[i]) for i in range(3))
+        assert np.array_equal(source[1::2], video[1::2])
         assert np.array_equal(source.masks(video), np.stack(masks))
         assert np.array_equal(source.masks(video, first_only=True), masks[:1])
         with pytest.raises(ValueError, match="2 frames, need one per frame"):
@@ -430,6 +433,24 @@ class TestPnmStore:
         bare = VideoSource(write_video_dir(tmp_path, "bare", frames))
         with pytest.raises(ValueError, match="0 masks for 3 frames, need the first"):
             bare.masks(video, first_only=True)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda buf: b"P5" + buf[2:], "expected P6 file"),
+        (lambda buf: buf.replace(b"\n255\n", b"\n65535\n", 1), "only maxval 255 supported"),
+        (lambda buf: buf[:-1], "truncated pixel data (191 of 192 bytes)"),
+        (lambda buf: buf.replace(b"8 8", b"8 4", 1), "frame shape (4, 8) differs"),
+    ], ids=["magic", "maxval", "pixel-bytes", "size"])
+    def test_check_reads_headers_alone(self, tmp_path, monkeypatch, damage, message):
+        """VideoSource.check finds each frame fault from the file's
+        header and size, decoding no pixels, and names the file."""
+        import vidcorr.views as views
+
+        directory = write_video_dir(tmp_path, "vid", toy_video(3, h=8, w=8, seed=2))
+        path = directory / "frame_00001.ppm"
+        path.write_bytes(damage(path.read_bytes()))
+        monkeypatch.setattr(views, "read_ppm", None)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            VideoSource(directory).check()
 
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
