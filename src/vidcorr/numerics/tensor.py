@@ -16,14 +16,16 @@ nothing else. A VJP closure captures only the arrays it reads, plus
 plain shapes, dtypes and flags, never a tensor: ``mul``, ``matmul`` and
 ``linear`` keep one operand's data only when the other side needs a
 gradient, shape kernels keep shapes, ``layer_norm`` keeps its
-normalized input, inverse deviation and gamma, and ``gelu`` forms its
+normalized input, inverse deviation and gamma, ``gelu`` forms its
 derivative in the forward (only when it records a node) and keeps that
-one array. So an activation that no VJP reads is freed as soon as the
-forward drops its tensor, while the graph waits for :func:`backward`.
-On one seeded desk train step (the acceptance tests' desk config) the
-live graph at backward holds 8.6 MB, against 12.3 MB when nodes held
-their input tensors, and the ``train-desk`` benchmark peaks at 57.9
-against 60.5 MB RSS (2-core x86-64 VM, Python 3.11, numpy 2.4).
+one array, and ``attention`` keeps its queries, keys and values, O(N*D),
+and recomputes the O(N^2) probabilities in its VJP. So an activation
+that no VJP reads is freed as soon as the forward drops its tensor,
+while the graph waits for :func:`backward`. On one seeded desk train
+step (the acceptance tests' desk config) the live graph at backward
+holds 6.5 MB, against 8.4 MB when attention kept its probabilities and
+12.3 MB when nodes held their input tensors (2-core x86-64 VM, Python
+3.11, numpy 2.4).
 
 Interior tensors never get a ``.grad``, and :func:`backward` consumes
 the graph as it walks it: each node's closure and parents are dropped
@@ -288,6 +290,13 @@ _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
+# erf's float64 temporaries span at most this many elements (512 KB
+# each). With attention recomputing its probabilities, 1 << 17 (one pass
+# over the desk's largest gelu input, 99,840 elements) cost the
+# train-desk benchmark about 10% of its clips/s in 20-s runs, against
+# about 4% at 1 << 16 (2-core x86-64 VM): the larger temporaries made
+# train() fault in more fresh heap pages.
+_ERF_CHUNK = 1 << 16
 
 
 def _horner(x, coefs, leading_one=False):
@@ -303,14 +312,9 @@ def _horner(x, coefs, leading_one=False):
     return acc
 
 
-def erf(x):
-    """Elementwise error function, evaluated in float64 as Cephes does
-    and returned in the input's dtype. Float32 results equal
-    scipy.special.erf bit for bit; float64 ones are within one ulp (the
-    tail's exp comes from numpy rather than libm). Past |x| = 8,
-    1 - erfc(x) rounds to 1 whichever tail polynomial is used."""
-    x = np.asarray(x)
-    v = np.ascontiguousarray(x, dtype=np.float64)
+def _erf_float64(v):
+    """erf of the 1-d array ``v`` in float64, without writing to ``v``."""
+    v = np.asarray(v, dtype=np.float64)
     # inf/inf in the |x| <= 1 form at infinite x is overwritten below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         z = v * v
@@ -318,13 +322,34 @@ def erf(x):
         out *= v
         out /= _horner(z, _ERF_U, leading_one=True)
         tail = np.flatnonzero(z > 1.0)  # exactly |x| > 1
-        s = v.reshape(-1)[tail]
-        erfc = np.exp(-z.reshape(-1)[tail])
+        s = v[tail]
+        erfc = np.exp(-z[tail])
         a = np.minimum(np.abs(s), 8.0)
         erfc *= _horner(a, _ERFC_P)
         erfc /= _horner(a, _ERFC_Q, leading_one=True)
-        out.reshape(-1)[tail] = np.copysign(1.0 - erfc, s)
-    return out.astype(x.dtype, copy=False)
+        out[tail] = np.copysign(1.0 - erfc, s)
+    return out
+
+
+def erf(x):
+    """Elementwise error function, evaluated in float64 as Cephes does
+    and returned in the input's dtype. Float32 results equal
+    scipy.special.erf bit for bit; float64 ones are within one ulp (the
+    tail's exp comes from numpy rather than libm). Past |x| = 8,
+    1 - erfc(x) rounds to 1 whichever tail polynomial is used.
+
+    The float64 work runs over chunks of :data:`_ERF_CHUNK` elements,
+    each written into the output in the input's dtype, so its
+    temporaries stay near 512 KB each whatever the input's size. Every
+    operation is elementwise, so the chunking changes no bit.
+    """
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    out = np.empty(x.shape, dtype=x.dtype)
+    out_flat = out.reshape(-1)
+    for start in range(0, flat.size, _ERF_CHUNK):
+        out_flat[start:start + _ERF_CHUNK] = _erf_float64(flat[start:start + _ERF_CHUNK])
+    return out
 
 
 def gelu(a):
@@ -518,12 +543,19 @@ def attention(qkv, heads, name, queries=None):
     values and gradients match it bitwise. ``name`` labels the scores in
     the non-finite error.
 
+    The node keeps q, k^T and v, views of ``qkv``, and not the
+    (B, heads, M, N) probabilities: its VJP recomputes them with the
+    forward's own operations, so they are the same bits, and only one
+    node's probabilities are alive at a time during the backward.
+
     queries: optional (B, M) integer array of token positions, distinct
     within each crop. Then scores, softmax and value mixing run only for
     those M query rows of each crop, against the keys and values of all
     N tokens, and the result is (B, M, D) in ``queries`` order. The
     gradient reaches every key and value row, and the query part of the
-    chosen rows only.
+    chosen rows only. The node then keeps the gathered query rows and a
+    copy of the key and value columns, so ``qkv`` is freed after the
+    forward.
     """
     qkv = as_tensor(qkv)
     b, n, d3 = qkv.shape
@@ -542,11 +574,16 @@ def attention(qkv, heads, name, queries=None):
         at = (np.arange(b)[:, None], queries)
     m = q.shape[2]
     k_t = np.transpose(k, (0, 1, 3, 2))
-    scores = q @ k_t
-    _check_softmax_input(scores, name)
     inv_t = np.asarray(1.0 / math.sqrt(dh), dtype=qkv.dtype)
-    # the scores are fresh and nothing else reads them
-    attn = _softmax(np.multiply(scores, inv_t, out=scores), -1)
+
+    def probabilities(check=False):
+        scores = q @ k_t
+        if check:
+            _check_softmax_input(scores, name)
+        # the scores are fresh and nothing else reads them
+        return _softmax(np.multiply(scores, inv_t, out=scores), -1)
+
+    attn = probabilities(check=True)
     mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, m, d)
     if queries is not None:
         # the VJP reads no other query row: a copy of the key and value
@@ -555,6 +592,9 @@ def attention(qkv, heads, name, queries=None):
         k_t, v = np.transpose(split(0), (0, 1, 3, 2)), split(d)
 
     def vjp(g):
+        # recomputed with the forward's operations, so bit for bit the
+        # same probabilities; only O(N*D) arrays wait for the backward
+        attn = probabilities()
         g = np.transpose(g.reshape(b, m, heads, dh), (0, 2, 1, 3))
         g_attn = g @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(attn, -1, -2) @ g

@@ -369,40 +369,67 @@ def _check_frame_shape(path, shape, first):
                          f"differs from the first frame's {first[:2]}")
 
 
-class VideoSource:
-    """One video directory: frame_*.ppm and, in eval splits, mask_*.pgm.
+FRAME_NAME = "frame_{:05d}.ppm"
+MASK_NAME = "mask_{:05d}.pgm"
 
-    Frames are decoded on demand: ``source[i]`` reads frame i, and a
-    slice reads only its frames, as one (n, H, W, 3) float32 array, each
-    checked against the video's shape from :meth:`check`. :meth:`masks`
-    reads each mask once and checks it against the frames. A file that
-    fails names itself."""
+
+def _numbered_files(directory, name):
+    """How many files ``name.format(0)``, ``name.format(1)``, ... the
+    directory holds. Every file of the pattern must take its place in
+    that numbering: a gap raises, naming the first missing file."""
+    prefix, _, rest = name.partition("{")
+    suffix = rest.partition("}")[2]
+    present = {f for f in os.listdir(directory) if f.startswith(prefix) and f.endswith(suffix)}
+    for i in range(len(present)):
+        if name.format(i) not in present:
+            raise ValueError(f"{directory}: {name.format(i)} missing; files {prefix}* "
+                             f"must be numbered from {name.format(0)} without gaps")
+    return len(present)
+
+
+class VideoSource:
+    """One video directory: frame_%05d.ppm and, in eval splits,
+    mask_%05d.pgm, each numbered from 00000 without gaps.
+
+    The source keeps the directory and the two counts, checked once at
+    construction, and names a file when it reads it. Frames are decoded
+    on demand: ``source[i]`` reads frame i, and a slice reads only its
+    frames, as one (n, H, W, 3) float32 array, each checked against the
+    video's shape from :meth:`check`. :meth:`masks` reads each mask once
+    and checks it against the frames. A file that fails names itself."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.source_id = self.directory.name
-        self.frame_paths = sorted(self.directory.glob("frame_*.ppm"))
-        self.mask_paths = sorted(self.directory.glob("mask_*.pgm"))
-        self.has_masks = bool(self.mask_paths)
-        if not self.frame_paths:
+        self._frame_count = (_numbered_files(self.directory, FRAME_NAME)
+                             if self.directory.is_dir() else 0)
+        if not self._frame_count:
             raise ValueError(f"no frames under {self.directory}")
+        self._mask_count = _numbered_files(self.directory, MASK_NAME)
+        self.has_masks = self._mask_count > 0
         self._shape = None
 
     def __len__(self):
-        return len(self.frame_paths)
+        return self._frame_count
+
+    def _frame_path(self, i):
+        return self.directory / FRAME_NAME.format(range(self._frame_count)[i])
+
+    def _mask_path(self, i):
+        return self.directory / MASK_NAME.format(range(self._mask_count)[i])
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
-            return read_ppm(self.frame_paths[i])
+            return read_ppm(self._frame_path(i))
         shape = self.check()
-        paths = self.frame_paths[i]
+        paths = [self._frame_path(j) for j in range(self._frame_count)[i]]
         frames = [read_ppm(path) for path in paths]
         for path, frame in zip(paths, frames):
             _check_frame_shape(path, frame.shape, shape)
         return np.stack(frames)
 
     def mask(self, i):
-        return read_pgm(self.mask_paths[i])
+        return read_pgm(self._mask_path(i))
 
     def check(self):
         """The (H, W, 3) shape of every frame, checked on the first call
@@ -411,7 +438,8 @@ class VideoSource:
         every pixel byte present."""
         if self._shape is None:
             shapes = []
-            for path in self.frame_paths:
+            for i in range(self._frame_count):
+                path = self._frame_path(i)
                 with open(path, "rb") as fh:
                     shapes.append(_pnm_header(fh, path, b"P6", 3))
                 _check_frame_shape(path, shapes[-1], shapes[0])
@@ -426,10 +454,11 @@ class VideoSource:
         """The (T, H, W) uint8 masks of ``frames``, this video's (T, H, W, 3)
         array, or with first_only the first frame's alone, (1, H, W). Any
         other mask count, or a mask whose shape is not the frames', raises."""
-        paths = self.mask_paths[:1] if first_only else self.mask_paths
-        if len(paths) != (1 if first_only else len(frames)):
-            raise ValueError(f"{self.directory}: {len(self.mask_paths)} masks for {len(frames)} "
+        count = min(self._mask_count, 1) if first_only else self._mask_count
+        if count != (1 if first_only else len(frames)):
+            raise ValueError(f"{self.directory}: {self._mask_count} masks for {len(frames)} "
                              f"frames, need {'the first' if first_only else 'one per frame'}")
+        paths = [self._mask_path(i) for i in range(count)]
         masks = [read_pgm(path) for path in paths]
         for path, mask in zip(paths, masks):
             if mask.shape != frames.shape[1:3]:
@@ -443,10 +472,10 @@ def write_video_dir(root, name, frames, masks=None):
     directory = Path(root) / name
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
-        write_ppm(directory / f"frame_{i:05d}.ppm", frame)
+        write_ppm(directory / FRAME_NAME.format(i), frame)
     if masks is not None:
         for i, mask in enumerate(masks):
-            write_pgm(directory / f"mask_{i:05d}.pgm", mask)
+            write_pgm(directory / MASK_NAME.format(i), mask)
     return directory
 
 

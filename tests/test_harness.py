@@ -415,7 +415,7 @@ class TestDatasetLayout:
         assert all(not s.has_masks for s in train_sources)
         for s in val_sources:
             assert s.has_masks
-            assert len(s.mask_paths) == len(s) == 6
+            assert len(s.masks(s.frames())) == len(s) == 6
             assert s[0].shape == (16, 16, 3)
 
     def test_generation_is_bitwise_reproducible(self, tmp_path):
@@ -1334,6 +1334,18 @@ class TestCli:
         assert main(["train"] + cli_sets(micro_pairs(data, out))) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "usage error" not in err
+        assert not out.exists()
+
+    def test_frame_numbering_gap_exits_2(self, dataset_root, tmp_path, capsys):
+        """A training video whose frame numbering has a gap stops train
+        before it writes anything, naming the directory and the file."""
+        data, out = tmp_path / "data", tmp_path / "o"
+        shutil.copytree(dataset_root / "train", data / "train")
+        directory = data / "train" / "video_001"
+        (directory / "frame_00003.ppm").unlink()
+        assert main(["train"] + cli_sets(micro_pairs(data, out))) == 2
+        err = capsys.readouterr().err
+        assert f"{directory}: frame_00003.ppm missing" in err and "usage error" not in err
         assert not out.exists()
 
     def test_training_frame_resized_after_the_check_exits_2(self, dataset_root, tmp_path,

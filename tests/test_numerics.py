@@ -39,6 +39,7 @@ from vidcorr.numerics.tensor import _Node, _consumed, _result
 from vidcorr.objectives import TeacherState, loss_in_mim
 from vidcorr.views import load_store, make_crops, sample_clip, sample_clip_masks
 from vidcorr.numerics.rng import _fnv1a
+from vidcorr.numerics import tensor as tensor_module
 from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
 from vidcorr.numerics.recordio import (
     named_list_bytes,
@@ -308,11 +309,11 @@ class TestCoreKernels:
         ref = 0.5 * x * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         assert np.allclose(out, ref, atol=1e-12)
 
-    def test_erf_matches_scipy(self):
+    def test_erf_matches_scipy(self, monkeypatch):
         """float32 bitwise against scipy.special.erf (what gelu trains
         with), float64 within one ulp, across both Cephes branches, the
         |x| = 1 and 8 seams, signed zeros, subnormals and non-finite
-        values."""
+        values; and chunks of 7 elements give the bits of one chunk."""
         g = np.random.default_rng(0)
         edges = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0,
                           np.nextafter(8.0, 0.0), 27.0, 1e300, -1e300, 5e-324,
@@ -334,6 +335,16 @@ class TestCoreKernels:
         strided = x[:1000].reshape(-1, 4)[:, ::2]
         assert np.array_equal(erf(strided), erf(strided.copy()), equal_nan=True)
 
+        with np.errstate(over="ignore"):
+            inputs = [x.astype(np.float32), x, strided, np.float64(-1.5), np.float32(9.0),
+                      x[:10].astype(np.float32).reshape(2, 5)]
+        monkeypatch.setattr(tensor_module, "_ERF_CHUNK", x.size)
+        whole = [erf(v) for v in inputs]
+        monkeypatch.setattr(tensor_module, "_ERF_CHUNK", 7)
+        for v, want in zip(inputs, whole):
+            assert same_bits(erf(v), want)
+        assert erf(np.float64(-1.5)).shape == ()
+
     def test_reshape_transpose_concat_narrow(self):
         x = t64(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
         assert reshape(x, (6, 4)).data.shape == (6, 4)
@@ -353,21 +364,27 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def attention_chain(qkv, heads):
-    """Multi-head attention from the primitive kernels."""
+def attention_chain(qkv, heads, queries=None):
+    """Multi-head attention from the primitive kernels; with ``queries``,
+    the query rows are gathered as the encoder gathers tokens."""
     b, n, d3 = qkv.shape
     d = d3 // 3
     dh = d // heads
 
     def split(t):
-        return transpose(reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
+        return transpose(reshape(t, t.shape[:2] + (heads, dh)), (0, 2, 1, 3))
 
-    q = split(narrow(qkv, 2, 0, d))
+    q = narrow(qkv, 2, 0, d)
+    if queries is not None:
+        flat = (np.arange(b)[:, None] * n + queries).reshape(-1)
+        q = reshape(gather_rows(reshape(q, (b * n, d)), flat), queries.shape + (d,))
+    m = q.shape[1]
+    q = split(q)
     k = split(narrow(qkv, 2, d, d))
     v = split(narrow(qkv, 2, 2 * d, d))
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = softmax_t(scores, axis=-1, temperature=1.0)
-    return reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
+    return reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, m, d))
 
 
 def value_and_grads(fn, arrays, weight):
@@ -406,6 +423,16 @@ class TestFusedKernels:
         weight[1] = 0.0
         fused = value_and_grads(lambda t: attention(t, heads, "scores"), (qkv,), weight)
         chain = value_and_grads(lambda t: attention_chain(t, heads), (qkv,), weight)
+        assert same_bits(fused[0], chain[0])
+        assert same_bits(fused[1][0], chain[1][0])
+        # query rows: the backward recomputes the scores from the copied
+        # key columns, whose strides differ from the forward's views
+        queries = np.stack([g.permutation(5)[:3] for _ in range(3)])
+        fused = value_and_grads(lambda t: attention(t, heads, "scores", queries), (qkv,),
+                                weight[:, :3])
+        chain = value_and_grads(lambda t: attention_chain(t, heads, queries), (qkv,),
+                                weight[:, :3])
+        assert fused[0].shape == (3, 3, 8)
         assert same_bits(fused[0], chain[0])
         assert same_bits(fused[1][0], chain[1][0])
 
@@ -606,6 +633,38 @@ class TestBackward:
         backward(total)
         assert all(t.grad is not None for _, t in student.named_parameters())
 
+    def test_desk_attention_keeps_no_probabilities(self, tmp_path, monkeypatch):
+        """Over a desk step_losses graph, no attention VJP holds a
+        (B, heads, M, N) array, the backward recomputes the probabilities,
+        and no array a closure holds, nor the array it is a view of, has
+        more elements than the node's qkv."""
+        import vidcorr.encoder as encoder
+
+        crops, clip_masks, student, teacher, run = desk_step_inputs(tmp_path)
+        recorded = []
+
+        def recorded_attention(qkv, heads, name, queries=None):
+            out = attention(qkv, heads, name, queries)
+            if out._node is not None:
+                b, n = qkv.shape[:2]
+                m = n if queries is None else queries.shape[1]
+                recorded.append((out._node, (b, heads, m, n), qkv.data.size))
+            return out
+
+        monkeypatch.setattr(encoder, "attention", recorded_attention)
+        total = step_losses(crops, clip_masks, student, teacher, run)[0].total
+        assert len(recorded) == 3 * run.model.depth  # every block of the three student forwards
+        for node, probabilities_shape, qkv_size in recorded:
+            arrays = closure_arrays(node.vjp)
+            assert arrays
+            for a in arrays:
+                assert a.shape != probabilities_shape, node.vjp
+                held = a.base if isinstance(a.base, np.ndarray) else a
+                assert held.size <= qkv_size, (a.shape, qkv_size)
+        del recorded
+        backward(total)
+        assert all(t.grad is not None for _, t in student.named_parameters())
+
 
 def desk_step_inputs(tmp_path):
     """Crops, masks, student and teacher of one seeded desk train step
@@ -630,16 +689,28 @@ def desk_step_inputs(tmp_path):
     return crops, clip_masks, student, teacher, run
 
 
-def holds_tensor(value):
-    """Whether ``value`` is a Tensor or holds one in a tuple, a list or
-    the closure of a function."""
-    if isinstance(value, Tensor):
-        return True
+def held_values(value, seen=None):
+    """Every value that ``value`` is or holds in a tuple, a list or the
+    closure of a function, nested functions included."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
     if isinstance(value, (tuple, list)):
-        return any(holds_tensor(v) for v in value)
+        return [h for v in value for h in held_values(v, seen)]
     if callable(value) and getattr(value, "__closure__", None):
-        return any(holds_tensor(c.cell_contents) for c in value.__closure__)
-    return False
+        return [h for c in value.__closure__ for h in held_values(c.cell_contents, seen)]
+    return [value]
+
+
+def holds_tensor(value):
+    """Whether ``value`` is a Tensor or holds one (see held_values)."""
+    return any(isinstance(v, Tensor) for v in held_values(value))
+
+
+def closure_arrays(fn):
+    """Every ndarray that ``fn`` holds (see held_values)."""
+    return [v for v in held_values(fn) if isinstance(v, np.ndarray)]
 
 
 def graph_nodes(root):

@@ -452,6 +452,23 @@ class TestPnmStore:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             VideoSource(directory).check()
 
+    @pytest.mark.parametrize("missing", ["frame_00002.ppm", "mask_00001.pgm"])
+    def test_numbering_gap_names_the_missing_file(self, tmp_path, missing):
+        """Frames and masks are numbered from 00000 without gaps, checked
+        once when the source is made: a gap names the directory and the
+        first missing file."""
+        frames = toy_video(4, h=8, w=8, seed=2)
+        masks = [np.full((8, 8), i, dtype=np.int32) for i in range(4)]
+        directory = write_video_dir(tmp_path, "vid", frames, masks)
+        source = VideoSource(directory)
+        assert len(source) == 4 and source.has_masks
+        assert np.array_equal(source[-1], source[3]) and np.array_equal(source.mask(-1), masks[3])
+        with pytest.raises(IndexError):
+            source[4]
+        (directory / missing).unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{directory}: {missing} missing")):
+            VideoSource(directory)
+
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_store(tmp_path)
