@@ -19,7 +19,8 @@ gradient, shape kernels keep shapes, ``layer_norm`` keeps its
 normalized input, inverse deviation and gamma, ``gelu`` forms its
 derivative in the forward (only when it records a node) and keeps that
 one array, and ``attention`` keeps its queries, keys and values, O(N*D),
-and recomputes the O(N^2) probabilities in its VJP. So an activation
+and recomputes the O(N^2) probabilities in its VJP, a few crops at a
+time under :data:`_TRANSIENT_BYTES`. So an activation
 that no VJP reads is freed as soon as the forward drops its tensor,
 while the graph waits for :func:`backward`. On one seeded desk train
 step (the acceptance tests' desk config) the live graph at backward
@@ -45,6 +46,11 @@ import numpy as np
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 DEFAULT_DTYPE = np.float32
+
+# Byte budget for one kernel's transient arrays: attention's VJP
+# recomputes its (crops, heads, M, N) probabilities in crop chunks of at
+# most this size (the desk's 12 global crops go 3 at a time).
+_TRANSIENT_BYTES = 1 << 18
 
 
 def _coerce(data):
@@ -291,11 +297,11 @@ _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.549377788878198
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 # erf's float64 temporaries span at most this many elements (512 KB
-# each). With attention recomputing its probabilities, 1 << 17 (one pass
-# over the desk's largest gelu input, 99,840 elements) cost the
-# train-desk benchmark about 10% of its clips/s in 20-s runs, against
-# about 4% at 1 << 16 (2-core x86-64 VM): the larger temporaries made
-# train() fault in more fresh heap pages.
+# each, at most three alive at once). With attention recomputing its
+# probabilities, 1 << 17 (one pass over the desk's largest gelu input,
+# 99,840 elements) cost the train-desk benchmark about 10% of its
+# clips/s in 20-s runs, against about 4% at 1 << 16 (2-core x86-64 VM):
+# the larger temporaries made train() fault in more fresh heap pages.
 _ERF_CHUNK = 1 << 16
 
 
@@ -313,17 +319,25 @@ def _horner(x, coefs, leading_one=False):
 
 
 def _erf_float64(v):
-    """erf of the 1-d array ``v`` in float64, without writing to ``v``."""
+    """erf of the 1-d array ``v`` in float64, without writing to ``v``.
+
+    The |x| > 1 pieces (``s``, ``exp(-z[tail])``) are taken first, so the
+    float64 copy of ``v`` goes as soon as the |x| <= 1 numerator has read
+    it: at most three float64 arrays of ``v``'s size are alive at once
+    (``z``, the numerator and the denominator), besides the tail-sized
+    ones.
+    """
     v = np.asarray(v, dtype=np.float64)
     # inf/inf in the |x| <= 1 form at infinite x is overwritten below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         z = v * v
-        out = _horner(z, _ERF_T)
-        out *= v
-        out /= _horner(z, _ERF_U, leading_one=True)
         tail = np.flatnonzero(z > 1.0)  # exactly |x| > 1
         s = v[tail]
         erfc = np.exp(-z[tail])
+        out = _horner(z, _ERF_T)
+        out *= v
+        del v
+        out /= _horner(z, _ERF_U, leading_one=True)
         a = np.minimum(np.abs(s), 8.0)
         erfc *= _horner(a, _ERFC_P)
         erfc /= _horner(a, _ERFC_Q, leading_one=True)
@@ -331,7 +345,7 @@ def _erf_float64(v):
     return out
 
 
-def erf(x):
+def erf(x, out=None):
     """Elementwise error function, evaluated in float64 as Cephes does
     and returned in the input's dtype. Float32 results equal
     scipy.special.erf bit for bit; float64 ones are within one ulp (the
@@ -339,31 +353,52 @@ def erf(x):
     1 - erfc(x) rounds to 1 whichever tail polynomial is used.
 
     The float64 work runs over chunks of :data:`_ERF_CHUNK` elements,
-    each written into the output in the input's dtype, so its
-    temporaries stay near 512 KB each whatever the input's size. Every
-    operation is elementwise, so the chunking changes no bit.
+    each written into the output in the input's dtype, so at most three
+    float64 temporaries of about 512 KB each are alive at once, whatever
+    the input's size. Every operation is elementwise, so the chunking
+    changes no bit.
+
+    out: optional C-contiguous array of ``x``'s shape and dtype to write
+    the result into; it may be ``x`` itself, since each chunk is read in
+    full before its result is written.
     """
     x = np.asarray(x)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
     flat = x.reshape(-1)
-    out = np.empty(x.shape, dtype=x.dtype)
-    out_flat = out.reshape(-1)
+    out_flat = out.reshape(-1, copy=False)
     for start in range(0, flat.size, _ERF_CHUNK):
         out_flat[start:start + _ERF_CHUNK] = _erf_float64(flat[start:start + _ERF_CHUNK])
     return out
 
 
 def gelu(a):
-    """Exact erf formulation: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact erf formulation: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    Every step writes in place, with the formula's operations in its
+    order: erf overwrites x / sqrt(2) with its cdf, and with a graph the
+    pdf and then the derivative cdf + x * pdf are formed in one more
+    array of the input's size. So besides erf's float64 chunks, gelu
+    holds at most its value, the cdf and the pdf.
+    """
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * np.asarray(_INV_SQRT2, dtype=a.dtype)))
-    data = (x * cdf).astype(a.dtype.type, copy=False)
+    cdf = np.empty(x.shape, dtype=x.dtype)
+    np.multiply(x, np.asarray(_INV_SQRT2, dtype=a.dtype), out=cdf)
+    erf(cdf, out=cdf)
+    np.add(1.0, cdf, out=cdf)
+    np.multiply(0.5, cdf, out=cdf)
+    data = x * cdf
     if not a.requires_grad:
         return Tensor(data)
-    # the derivative is all the VJP reads, so it is formed here and x
-    # and cdf are not kept
-    pdf = np.exp(-0.5 * x * x) * np.asarray(_INV_SQRT_2PI, dtype=a.dtype)
-    deriv = cdf + x * pdf
+    # the derivative cdf + x * pdf is all the VJP reads, so it is formed
+    # here, over cdf, and x is not kept
+    pdf = np.multiply(-0.5, x, out=np.empty_like(cdf))
+    np.multiply(pdf, x, out=pdf)
+    np.exp(pdf, out=pdf)
+    np.multiply(pdf, np.asarray(_INV_SQRT_2PI, dtype=a.dtype), out=pdf)
+    np.multiply(x, pdf, out=pdf)
+    deriv = np.add(cdf, pdf, out=cdf)
     return _result(data, (a,), lambda g: (g * deriv,))
 
 
@@ -512,8 +547,14 @@ def _softmax(y, axis):
 
 
 def _softmax_vjp(g, y, axis, inv_t):
-    inner = (g * y).sum(axis=axis, keepdims=True)
-    return (g - inner) * y * inv_t
+    """``(g - sum(g * y)) * y * inv_t`` in one fresh array: ``g * y`` is
+    formed in it, summed, then overwritten. ``g`` and ``y`` are only read
+    (one gradient array may reach several parents)."""
+    out = np.multiply(g, y)
+    inner = out.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=out)
+    np.multiply(out, y, out=out)
+    return np.multiply(out, inv_t, out=out)
 
 
 def _check_softmax_input(x, label):
@@ -544,9 +585,14 @@ def attention(qkv, heads, name, queries=None):
     the non-finite error.
 
     The node keeps q, k^T and v, views of ``qkv``, and not the
-    (B, heads, M, N) probabilities: its VJP recomputes them with the
-    forward's own operations, so they are the same bits, and only one
-    node's probabilities are alive at a time during the backward.
+    (B, heads, M, N) probabilities. Its VJP works through the crops in
+    chunks whose (chunk, heads, M, N) probabilities fit
+    :data:`_TRANSIENT_BYTES` (at least one crop a chunk): it recomputes a
+    chunk's probabilities with the forward's own operations, so they are
+    the same bits, and adds that chunk's gradients into the output, with
+    at most three arrays of the chunk's probability size alive (the
+    probabilities, their gradient and the softmax VJP's one array). Every
+    matmul and reduction works per crop, so the chunking changes no bit.
 
     queries: optional (B, M) integer array of token positions, distinct
     within each crop. Then scores, softmax and value mixing run only for
@@ -567,46 +613,55 @@ def attention(qkv, heads, name, queries=None):
         return x[:, :, start:start + d].reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = split(0), split(d), split(2 * d)
-    if queries is None:
-        at = np.s_[:, :]
-    else:
+    if queries is not None:
         q = np.take_along_axis(q, queries[:, None, :, None], axis=2)
-        at = (np.arange(b)[:, None], queries)
     m = q.shape[2]
     k_t = np.transpose(k, (0, 1, 3, 2))
     inv_t = np.asarray(1.0 / math.sqrt(dh), dtype=qkv.dtype)
 
-    def probabilities(check=False):
-        scores = q @ k_t
+    def probabilities(crops, check=False):
+        scores = q[crops] @ k_t[crops]
         if check:
             _check_softmax_input(scores, name)
         # the scores are fresh and nothing else reads them
         return _softmax(np.multiply(scores, inv_t, out=scores), -1)
 
-    attn = probabilities(check=True)
+    attn = probabilities(np.s_[:], check=True)
     mixed = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, m, d)
+    del attn
     if queries is not None:
         # the VJP reads no other query row: a copy of the key and value
         # columns alone lets qkv be freed after the forward
         x = x[:, :, d:].copy()
         k_t, v = np.transpose(split(0), (0, 1, 3, 2)), split(d)
 
-    def vjp(g):
-        # recomputed with the forward's operations, so bit for bit the
-        # same probabilities; only O(N*D) arrays wait for the backward
-        attn = probabilities()
-        g = np.transpose(g.reshape(b, m, heads, dh), (0, 2, 1, 3))
-        g_attn = g @ np.swapaxes(v, -1, -2)
-        g_v = np.swapaxes(attn, -1, -2) @ g
+    def add_chunk_grads(crops, g, dest):
+        # the gradient of crops ``crops`` into ``dest``, their
+        # (crops, N, 3, heads, dh) part of the qkv gradient; the
+        # probabilities are recomputed with the forward's operations, so
+        # bit for bit the same, and only O(N*D) arrays wait for backward
+        attn = probabilities(crops)
+        g_attn = g @ np.swapaxes(v[crops], -1, -2)
+        dest[:, :, 2] += np.transpose(np.swapaxes(attn, -1, -2) @ g, (0, 2, 1, 3))
         g_scores = _softmax_vjp(g_attn, attn, -1, inv_t)
-        g_q = g_scores @ np.swapaxes(k_t, -1, -2)
-        g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, (0, 1, 3, 2))
+        del attn, g_attn
+        g_q = np.transpose(g_scores @ np.swapaxes(k_t[crops], -1, -2), (0, 2, 1, 3))
+        if queries is None:
+            dest[:, :, 0] += g_q
+        else:
+            dest[np.arange(len(g_q))[:, None], queries[crops], 0] += g_q
+        # k's gradient is (q^T g_scores)^T, laid out (crops, N, heads, dh)
+        dest[:, :, 1] += np.transpose(np.swapaxes(q[crops], -1, -2) @ g_scores, (0, 3, 1, 2))
+
+    def vjp(g):
+        g = np.transpose(g.reshape(b, m, heads, dh), (0, 2, 1, 3))
         # accumulate into zeros as the graph's flow sum does, so -0.0 -> +0.0
         full = np.zeros((b, n, d3), dtype=g.dtype)
         parts = full.reshape(b, n, 3, heads, dh)
-        parts[at + (0,)] += np.transpose(g_q, (0, 2, 1, 3))
-        for i, part in ((1, g_k), (2, g_v)):
-            parts[:, :, i] += np.transpose(part, (0, 2, 1, 3))
+        step = max(1, _TRANSIENT_BYTES // (heads * m * n * x.itemsize))
+        for start in range(0, b, step):
+            crops = np.s_[start:start + step]
+            add_chunk_grads(crops, g[crops], parts[crops])
         return (full,)
 
     return _result(mixed, (qkv,), vjp)

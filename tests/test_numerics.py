@@ -1,6 +1,7 @@
 """Tests for the tensor engine: kernels, autodiff, rng, serialization."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -415,26 +416,47 @@ class TestFusedKernels:
             assert same_bits(got, want)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_attention_matches_primitive_chain(self, heads):
+    def test_attention_matches_primitive_chain(self, heads, monkeypatch):
+        """Values and the qkv gradient, bitwise, with the VJP's crop
+        chunks at the module's budget (one chunk), forced to one crop,
+        and forced to two crops (a ragged last chunk of the three)."""
         g = np.random.default_rng(32 + heads)
         qkv = (g.normal(size=(3, 5, 24)) * 2.0).astype(np.float32)
         weight = g.normal(size=(3, 5, 8)).astype(np.float32)
         weight[:, :, 0] = -0.0
         weight[1] = 0.0
-        fused = value_and_grads(lambda t: attention(t, heads, "scores"), (qkv,), weight)
-        chain = value_and_grads(lambda t: attention_chain(t, heads), (qkv,), weight)
-        assert same_bits(fused[0], chain[0])
-        assert same_bits(fused[1][0], chain[1][0])
         # query rows: the backward recomputes the scores from the copied
         # key columns, whose strides differ from the forward's views
         queries = np.stack([g.permutation(5)[:3] for _ in range(3)])
-        fused = value_and_grads(lambda t: attention(t, heads, "scores", queries), (qkv,),
-                                weight[:, :3])
-        chain = value_and_grads(lambda t: attention_chain(t, heads, queries), (qkv,),
-                                weight[:, :3])
-        assert fused[0].shape == (3, 3, 8)
-        assert same_bits(fused[0], chain[0])
-        assert same_bits(fused[1][0], chain[1][0])
+        budget = tensor_module._TRANSIENT_BYTES
+        for crops_per_chunk in (None, 1, 2):
+            for rows, w in ((None, weight), (queries, weight[:, :3])):
+                m = 5 if rows is None else rows.shape[1]
+                one_crop = heads * m * 5 * qkv.itemsize  # its (heads, M, N) probabilities
+                monkeypatch.setattr(tensor_module, "_TRANSIENT_BYTES",
+                                    budget if crops_per_chunk is None else crops_per_chunk * one_crop)
+                fused = value_and_grads(lambda t: attention(t, heads, "scores", rows), (qkv,), w)
+                chain = value_and_grads(lambda t: attention_chain(t, heads, rows), (qkv,), w)
+                assert fused[0].shape == (3, m, 8)
+                assert same_bits(fused[0], chain[0]), (crops_per_chunk, m)
+                assert same_bits(fused[1][0], chain[1][0]), (crops_per_chunk, m)
+
+    def test_vjps_leave_their_inputs_unchanged(self, monkeypatch):
+        """softmax_t's and attention's VJPs write neither the incoming
+        gradient nor any array their closure keeps: one gradient array
+        may reach several parents (add's VJP hands the same one to both)."""
+        monkeypatch.setattr(tensor_module, "_TRANSIENT_BYTES", 1)  # one crop a chunk
+        g = np.random.default_rng(35)
+        logits = Tensor(g.normal(size=(3, 5, 7)).astype(np.float32), requires_grad=True)
+        qkv = Tensor(g.normal(size=(3, 5, 24)).astype(np.float32), requires_grad=True)
+        queries = np.stack([g.permutation(5)[:3] for _ in range(3)])
+        for out in (softmax_t(logits, temperature=0.5), attention(qkv, 2, "scores"),
+                    attention(qkv, 2, "scores", queries)):
+            grad = g.normal(size=out.shape).astype(np.float32)
+            read = [grad] + closure_arrays(out._node.vjp)
+            before = [a.tobytes() for a in read]
+            out._node.vjp(grad)
+            assert [a.tobytes() for a in read] == before
 
     def test_linear_grad_check(self):
         g = np.random.default_rng(33)
@@ -464,6 +486,48 @@ class TestFusedKernels:
         images = np.full((1, 8, 8, 3), 0.5)
         with pytest.raises(ValueError, match="block1/attn scores"):
             forward_batch(patchify_batch(images, params, config), params, config)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Peak allocation of the kernels whose temporaries sit on top of a
+    desk training step's live graph (tracemalloc, so deterministic)."""
+
+    def test_attention_vjp_peak(self):
+        """One attention VJP at the desk's global shape (12 crops, 4
+        heads, 65 tokens, width 32) allocates its output and at most
+        about three chunks' worth of probabilities, not four full
+        (12, 4, 65, 65) arrays."""
+        b, n, d, heads = 12, 65, 32, 4
+        g = np.random.default_rng(36)
+        qkv = Tensor(g.normal(size=(b, n, 3 * d)).astype(np.float32), requires_grad=True)
+        out = attention(qkv, heads, "scores")
+        grad = g.normal(size=out.shape).astype(np.float32)
+        one_crop = heads * n * n * 4
+        chunk = max(1, tensor_module._TRANSIENT_BYTES // one_crop) * one_crop
+        assert chunk < b * one_crop
+        (full,), peak = traced_peak(lambda: out._node.vjp(grad))
+        assert peak <= full.nbytes + 3.5 * chunk, (peak, full.nbytes, chunk)
+
+    def test_gelu_peak(self):
+        """gelu on the desk's largest activation, 99,840 float32 elements
+        (its block MLP's hidden layer over 12 crops of 65 tokens), that
+        track gradients: besides its value and derivative, at most three
+        float64 erf chunks."""
+        x = Tensor(np.random.default_rng(37).normal(size=(780, 128)).astype(np.float32),
+                   requires_grad=True)
+        _, peak = traced_peak(lambda: gelu(x))
+        bound = 2 * x.data.nbytes + 3 * tensor_module._ERF_CHUNK * 8
+        assert peak <= bound, (peak, bound)
 
 
 class TestBackward:
