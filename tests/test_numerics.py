@@ -516,6 +516,8 @@ class TestTransientMemory:
         chunk = max(1, tensor_module._TRANSIENT_BYTES // one_crop) * one_crop
         assert chunk < b * one_crop
         (full,), peak = traced_peak(lambda: out._node.vjp(grad))
+        # the half chunk covers a chunk's (crops, heads, N, dh) gradients
+        # and numpy's reduction buffers
         assert peak <= full.nbytes + 3.5 * chunk, (peak, full.nbytes, chunk)
 
     def test_gelu_peak(self):
