@@ -365,8 +365,10 @@ def erf(x, out=None):
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
+    elif not out.flags.c_contiguous:
+        raise ValueError("erf: out must be C-contiguous")
     flat = x.reshape(-1)
-    out_flat = out.reshape(-1, copy=False)
+    out_flat = out.reshape(-1)  # a view, since out is C-contiguous
     for start in range(0, flat.size, _ERF_CHUNK):
         out_flat[start:start + _ERF_CHUNK] = _erf_float64(flat[start:start + _ERF_CHUNK])
     return out

@@ -314,7 +314,8 @@ class TestCoreKernels:
         """float32 bitwise against scipy.special.erf (what gelu trains
         with), float64 within one ulp, across both Cephes branches, the
         |x| = 1 and 8 seams, signed zeros, subnormals and non-finite
-        values; and chunks of 7 elements give the bits of one chunk."""
+        values; chunks of 7 elements give the bits of one chunk; and
+        erf may write over its input but refuses a non-contiguous out."""
         g = np.random.default_rng(0)
         edges = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0,
                           np.nextafter(8.0, 0.0), 27.0, 1e300, -1e300, 5e-324,
@@ -345,6 +346,11 @@ class TestCoreKernels:
         for v, want in zip(inputs, whole):
             assert same_bits(erf(v), want)
         assert erf(np.float64(-1.5)).shape == ()
+        v = inputs[0][:1000].reshape(10, 100).copy()
+        want = erf(v)
+        assert erf(v, out=v) is v and same_bits(v, want)
+        with pytest.raises(ValueError):
+            erf(want, out=np.empty((100, 10), np.float32).T)
 
     def test_reshape_transpose_concat_narrow(self):
         x = t64(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
