@@ -41,9 +41,10 @@ PARAM_INIT_STD = 0.02
 class ModelConfig:
     """Backbone and head dimensions.
 
-    Desk-scale defaults keep CPU tests fast; the full-scale values
-    (embed 384, depth 12, head width 4096, inference layer 7, 224-pixel
-    crops) stay reachable through config.
+    Desk-scale defaults keep CPU tests fast. examples/vits16.cfg holds
+    the full-scale values (ViT-S/16: embed 384, depth 12, 6 heads,
+    inference layer 7, 224-pixel crops) and names the choices the paper
+    leaves open, the head's width among them.
     """
 
     patch_size: int = 8

@@ -7,6 +7,7 @@ named substreams keyed by step number, so training is reproducible
 byte-for-byte and resumable mid-run without replaying work.
 """
 
+import io
 import logging
 import math
 import os
@@ -34,9 +35,7 @@ from vidcorr.numerics import (
     add,
     backward,
     l2_normalize_rows,
-    named_list_bytes,
     narrow,
-    parse_named_list,
     reshape,
     scale,
 )
@@ -224,8 +223,16 @@ def canonical_config_text(run):
 
 # -- checkpoints -----------------------------------------------------------------
 
+# A checkpoint file is CKPT_MAGIC, a version byte, the step as uint64, the
+# config echo's byte length as uint32 and the UTF-8 config echo, then per
+# record: the name's byte length as uint32, the UTF-8 name, _RECORD_MAGIC, a
+# version byte, a rank byte, the extents as uint32, a dtype tag byte (an
+# index into _DTYPES) and the values in C order. Numbers are little-endian.
 CKPT_MAGIC = b"VCKP"
 CKPT_VERSION = 1
+_RECORD_MAGIC = b"INOT"
+_RECORD_VERSION = 1
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class CheckpointError(ValueError):
@@ -234,15 +241,18 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
+    """The header, the (name, shape) of every record in file order, and
+    {name: owned, aligned array of the file's dtype} of the records kept."""
     step: int
     config_text: str
-    records: list  # ordered (name, array), read-only views into the file bytes
+    index: list
+    arrays: dict
     path: str = ""
 
 
-def checkpoint_bytes(student, teacher, opt_state, step, config_text):
-    """The file bytes; the optimizer step rides along as a float64
-    (exact below 2**53)."""
+def _state_records(student, teacher, opt_state):
+    """The (name, array) records of a training state in file order; the
+    optimizer step rides along as a float64 (exact below 2**53)."""
     records = [(f"student/{n}", t.data) for n, t in student.named_parameters()]
     records += [(f"teacher/{n}", t.data) for n, t in teacher.params.named_parameters()]
     records.append(("teacher/center_cls", teacher.center_cls.data))
@@ -250,10 +260,30 @@ def checkpoint_bytes(student, teacher, opt_state, step, config_text):
     records.append(("opt/step", np.array([opt_state.step], dtype=np.float64)))
     records += [(f"opt/m/{n}", arr) for n, arr in opt_state.m.items()]
     records += [(f"opt/v/{n}", arr) for n, arr in opt_state.v.items()]
+    return records
+
+
+def _write_checkpoint(fh, records, step, config_text):
+    """Write the header, then each (name, array) record with its values
+    straight from the array's buffer, to the binary file fh."""
     cfg = config_text.encode("utf-8")
-    header = (CKPT_MAGIC + bytes([CKPT_VERSION]) + struct.pack("<Q", step)
-              + struct.pack("<I", len(cfg)) + cfg)
-    return header + named_list_bytes(records)
+    fh.write(CKPT_MAGIC + struct.pack("<BQI", CKPT_VERSION, step, len(cfg)) + cfg)
+    for name, arr in records:
+        if arr.dtype not in _DTYPES:
+            raise ValueError(f"record {name}: float32 or float64 only, got {arr.dtype}")
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(encoded)) + encoded + _RECORD_MAGIC
+                 + struct.pack(f"<BB{arr.ndim}IB", _RECORD_VERSION, arr.ndim,
+                               *arr.shape, _DTYPES.index(arr.dtype)))
+        fh.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).data)
+
+
+def checkpoint_bytes(student, teacher, opt_state, step, config_text):
+    """The file bytes of a training state."""
+    buf = io.BytesIO()
+    _write_checkpoint(buf, _state_records(student, teacher, opt_state), step,
+                      config_text)
+    return buf.getvalue()
 
 
 def save_checkpoint(path, student, teacher, opt_state, step, config_text):
@@ -262,38 +292,83 @@ def save_checkpoint(path, student, teacher, opt_state, step, config_text):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(checkpoint_bytes(student, teacher, opt_state, step,
-                                         config_text))
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, _state_records(student, teacher, opt_state), step,
+                              config_text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     return path
 
 
+def _take(fh, n, path, what):
+    """The next n bytes of fh, or a CheckpointError if the file ends first."""
+    data = fh.read(n)
+    if len(data) < n:
+        raise CheckpointError(f"{path}: truncated checkpoint ({what}: {len(data)} "
+                              f"of {n} bytes)")
+    return data
+
+
+def _load_checkpoint(path, keep):
+    """Walk the checkpoint file at path once, reading the values of the
+    records whose name starts with keep (a str or a tuple of them) and
+    seeking past the others'. A file cut anywhere, text that is not
+    UTF-8, or a record with a foreign magic, version or dtype tag raises
+    a CheckpointError that names the file."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(17)
+        if head[:4] != CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        if len(head) < 17:
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        if head[4] != CKPT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {head[4]}")
+        step, cfg_len = struct.unpack_from("<QI", head, 5)
+        index, arrays = [], {}
+        try:
+            config_text = _take(fh, cfg_len, path, "config echo").decode("utf-8")
+            while fh.tell() < size:
+                (n,) = struct.unpack("<I", _take(fh, 4, path, "record name"))
+                name = _take(fh, n, path, "record name").decode("utf-8")
+                what = f"record {name}"
+                magic, version, rank = struct.unpack("<4sBB", _take(fh, 6, path, what))
+                if (magic, version) != (_RECORD_MAGIC, _RECORD_VERSION):
+                    raise CheckpointError(f"{path}: {what} has magic {magic!r} version "
+                                          f"{version}, want {_RECORD_MAGIC!r} version "
+                                          f"{_RECORD_VERSION}")
+                *shape, tag = struct.unpack(f"<{rank}IB",
+                                            _take(fh, 4 * rank + 1, path, what))
+                if tag >= len(_DTYPES):
+                    raise CheckpointError(f"{path}: {what} has unknown dtype tag {tag}")
+                dtype = _DTYPES[tag].newbyteorder("<")
+                nbytes = math.prod(shape) * dtype.itemsize
+                if size - fh.tell() < nbytes:
+                    raise CheckpointError(f"{path}: truncated checkpoint ({what} values: "
+                                          f"{size - fh.tell()} of {nbytes} bytes)")
+                index.append((name, tuple(shape)))
+                if name.startswith(keep):
+                    arrays[name] = np.empty(shape, dtype)
+                    fh.readinto(arrays[name])
+                else:
+                    fh.seek(nbytes, os.SEEK_CUR)
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from None
+    return Checkpoint(step, config_text, index, arrays, str(path))
+
+
 def load_checkpoint(path):
-    buf = Path(path).read_bytes()
-    if buf[:4] != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(buf) < 17:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    version = buf[4]
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    step, cfg_len = struct.unpack_from("<QI", buf, 5)
-    try:
-        config_text = buf[17:17 + cfg_len].decode("utf-8")
-        records, _ = parse_named_list(buf, 17 + cfg_len)
-    except (struct.error, ValueError) as e:
-        raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from None
-    return Checkpoint(step, config_text, records, str(path))
+    """Every record of the checkpoint file at path."""
+    return _load_checkpoint(path, "")
 
 
 def _read_records(ckpt, model, prefixes):
-    """Check every record of ckpt against the layout of model; return,
-    one dict per prefix, {name after the prefix: owned float32 copy} of
-    the records under it (the records are read-only, mostly misaligned
-    views into the file bytes), and the optimizer step. A missing,
-    mis-shaped or unexpected record, or a step that is not a nonnegative
+    """Check the record index of ckpt against the layout of model; return,
+    one dict per prefix, {name after the prefix: float32 values} of the
+    kept records under it (a float32 record's own array, a float64 one's
+    float32 copy), and the optimizer step. A missing, mis-shaped,
+    unexpected or repeated record, or a step that is not a nonnegative
     integer, raises a CheckpointError that names the file and the record."""
     specs = param_specs(model)
     layout = {f"{prefix}{name}": shape
@@ -301,23 +376,23 @@ def _read_records(ckpt, model, prefixes):
               for name, shape in specs}
     layout.update({"teacher/center_cls": (model.proj_dim,),
                    "teacher/center_patch": (model.proj_dim,), "opt/step": (1,)})
-    records = {}
-    for name, arr in ckpt.records:
-        if name not in layout or name in records:
+    shapes = {}
+    for name, shape in ckpt.index:
+        if name not in layout or name in shapes:
             raise CheckpointError(f"{ckpt.path}: record {name} is unexpected")
-        records[name] = arr
+        shapes[name] = shape
     for name, shape in layout.items():
-        if name not in records:
+        if name not in shapes:
             raise CheckpointError(f"{ckpt.path}: record {name} is missing")
-        if records[name].shape != shape:
+        if shapes[name] != shape:
             raise CheckpointError(f"{ckpt.path}: record {name} has shape "
-                                  f"{records[name].shape}, want {shape}")
-    step = float(records["opt/step"][0])
+                                  f"{shapes[name]}, want {shape}")
+    step = float(ckpt.arrays["opt/step"][0])
     if not (step >= 0 and step.is_integer()):
         raise CheckpointError(f"{ckpt.path}: record opt/step holds {step}, "
                               "want a nonnegative integer")
-    arrays = [{name[len(prefix):]: np.array(arr, dtype=DEFAULT_DTYPE)
-               for name, arr in records.items() if name.startswith(prefix)}
+    arrays = [{name[len(prefix):]: arr.astype(DEFAULT_DTYPE, copy=False)
+               for name, arr in ckpt.arrays.items() if name.startswith(prefix)}
               for prefix in prefixes]
     return arrays, int(step)
 
@@ -327,7 +402,9 @@ def _tensors(arrays, requires_grad=False):
 
 
 def restore_state(ckpt, run):
-    """Build (student, teacher, opt_state) from checkpoint records."""
+    """Build (student, teacher, opt_state) from checkpoint records. The
+    state takes over the checkpoint's float32 arrays without a copy, so
+    restore one state per loaded checkpoint."""
     (student, teacher, m, v), step = _read_records(
         ckpt, run.model, ("student/", "teacher/", "opt/m/", "opt/v/"))
     student = EncoderParams(run.model, _tensors(student, requires_grad=True))
@@ -339,8 +416,10 @@ def restore_state(ckpt, run):
 
 
 def params_from_checkpoint(path):
-    """Inference-side loader: (EncoderParams without gradients, RunConfig)."""
-    ckpt = load_checkpoint(path)
+    """Inference-side loader: (EncoderParams without gradients, RunConfig).
+    Every record is checked, but only the student's and the step's
+    values are read."""
+    ckpt = _load_checkpoint(path, ("student/", "opt/step"))
     try:
         run = build_run_config(parse_config_text(ckpt.config_text))
     except (KeyError, TypeError, ValueError) as e:
@@ -562,6 +641,7 @@ def train(run, resume=None, progress=None):
             raise CheckpointError(f"{resume}: checkpoint was written under a different config")
         student, teacher, opt_state = restore_state(ckpt, run)
         start_step = ckpt.step
+        del ckpt  # updates rebind the state's arrays; let the loaded ones go
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_text)

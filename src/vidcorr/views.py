@@ -28,8 +28,8 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 class ViewConfig:
     """Clip length, crop families, and augmentation strengths.
 
-    The full-scale sizes are 224 (global) and 64 (local); the desk
-    defaults shrink both. Scale ranges follow the ablation wording:
+    The full-scale sizes are 224 (global) and 64 (local), as in
+    examples/vits16.cfg; the desk defaults shrink both. Scale ranges follow the ablation wording:
     small areas feed the local crops, large areas the globals.
     """
 

@@ -26,11 +26,10 @@ from vidcorr.numerics import (
     gather_rows,
     grad_check,
     mul,
-    named_list_bytes,
-    parse_named_list,
     reshape,
     tensor_sum,
 )
+from vidcorr.harness import _write_checkpoint, load_checkpoint
 
 MICRO = dict(patch_size=2, embed_dim=8, depth=1, heads=1, mlp_ratio=2,
              proj_layers=1, proj_dim=8, proj_hidden=16, pe_base_resolution=2,
@@ -104,14 +103,17 @@ class TestParams:
         for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(ta.data, tb.data)
 
-    def test_named_list_round_trip(self):
+    def test_named_list_round_trip(self, tmp_path):
         """Parameters survive the checkpoint's record encoding, and a
         parameter set builds by name from the decoded arrays, whatever
         their order."""
         config, params, _ = micro_setup()
-        items, _ = parse_named_list(named_list_bytes(
-            (n, t.data) for n, t in params.named_parameters()))
-        back = EncoderParams(config, {n: Tensor(a, name=n) for n, a in reversed(items)})
+        path = tmp_path / "params.ckpt"
+        with open(path, "wb") as fh:
+            _write_checkpoint(fh, [(n, t.data) for n, t in params.named_parameters()], 0, "")
+        ckpt = load_checkpoint(path)
+        back = EncoderParams(config, {n: Tensor(ckpt.arrays[n], name=n)
+                                      for n, _ in reversed(ckpt.index)})
         names = [n for n, _ in back.named_parameters()]
         assert names == [n for n, _ in params.named_parameters()]
         assert all(np.array_equal(a.data, b.data) for (_, a), (_, b)

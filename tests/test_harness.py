@@ -6,11 +6,13 @@ Everything here runs on a micro setup (16x16 canvas, embed 8, depth 1)
 so the whole file stays in the seconds range."""
 
 import hashlib
+import io
 import logging
 import math
 import re
 import shlex
 import shutil
+import struct
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -18,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidcorr.encoder import EncoderParams, ModelConfig
+from vidcorr.encoder import EncoderParams, ModelConfig, param_specs
 from vidcorr.harness import (
     CheckpointError,
+    _write_checkpoint,
     build_run_config,
     canonical_config_text,
     checkpoint_bytes,
@@ -42,7 +45,7 @@ from vidcorr.harness.synthetic import (
     render_scene,
 )
 from vidcorr.metrics import score_track
-from vidcorr.numerics import Rng, named_list_bytes, scale
+from vidcorr.numerics import Rng, scale
 from vidcorr.objectives import TeacherState
 from vidcorr.optimizer import OptState, Schedule
 from vidcorr.propagation import PropagationConfig, propagate_video
@@ -321,6 +324,16 @@ class TestBuildRunConfig:
         desk = parse_config_text((REPO / "examples" / "desk.cfg").read_text())
         assert canonical_config_text(build_run_config(desk)) == DESK_ECHO
 
+    @pytest.mark.parametrize("name, grid, params", [
+        ("mid.cfg", (12, 12), 5_278_720), ("vits16.cfg", (14, 14), 31_371_776)])
+    def test_scale_configs_parse(self, name, grid, params):
+        """The scale files build a run config: the global crop's token
+        grid, and the student's parameter count that vits16.cfg's comment
+        states as 31.4M."""
+        run = build_run_config(parse_config_text((REPO / "examples" / name).read_text()))
+        assert run.model.token_grid(run.view.global_size, run.view.global_size) == grid
+        assert sum(math.prod(shape) for _, shape in param_specs(run.model)) == params
+
     def test_one_echo_per_value(self):
         """1 and 1.0 parse to one float, so they echo alike."""
         texts = {canonical_config_text(build_run_config({"gate_probability": value}))
@@ -465,10 +478,35 @@ def skipped_step_message(run, group, student, teacher, opt_state, caplog):
 
 def rewrite_records(path, edit):
     """Replace the records of the checkpoint at path by edit(records),
-    keeping its header."""
+    keeping its step and config echo."""
     ckpt = load_checkpoint(path)
-    header = path.read_bytes()[:17 + len(ckpt.config_text.encode())]
-    path.write_bytes(header + named_list_bytes(edit(list(ckpt.records))))
+    records = [(name, ckpt.arrays[name]) for name, _ in ckpt.index]
+    with open(path, "wb") as fh:
+        _write_checkpoint(fh, edit(records), ckpt.step, ckpt.config_text)
+
+
+def reference_records(buf):
+    """Decode checkpoint bytes with struct alone, independently of the
+    loader: (step, config text, [(name, magic, version, shape, tag,
+    values)] in file order). Asserts the file header and that the
+    records fill the file exactly."""
+    assert buf[:4] == b"VCKP" and buf[4] == 1
+    step, cfg_len = struct.unpack_from("<QI", buf, 5)
+    pos = 17 + cfg_len
+    config_text = buf[17:pos].decode("utf-8")
+    records = []
+    while pos < len(buf):
+        (n,) = struct.unpack_from("<I", buf, pos)
+        name = buf[pos + 4:pos + 4 + n].decode("utf-8")
+        magic, version, rank = struct.unpack_from("<4sBB", buf, pos + 4 + n)
+        pos += 10 + n
+        *shape, tag = struct.unpack_from(f"<{rank}IB", buf, pos)
+        pos += 4 * rank + 1
+        values = np.frombuffer(buf, ("<f4", "<f8")[tag], math.prod(shape), pos)
+        pos += values.nbytes
+        records.append((name, magic, version, tuple(shape), tag, values.reshape(shape)))
+    assert pos == len(buf)
+    return step, config_text, records
 
 
 def replaced(name, value):
@@ -506,9 +544,57 @@ class TestCheckpointFormat:
         assert (ckpt.step, ckpt.config_text) == (7, text)
         assert checkpoint_bytes(student, teacher, opt_state, 7, text) \
             == path.read_bytes()
-        recs = dict(ckpt.records)
         for name, t in student.named_parameters():
-            assert np.array_equal(recs[f"student/{name}"], t.data)
+            assert np.array_equal(ckpt.arrays[f"student/{name}"], t.data)
+
+    def test_reference_reader_decodes_the_file(self, tmp_path):
+        """The file, walked by the struct-only reference reader: the
+        header, then every record in state order with its magic, version,
+        extents, dtype tag (float32 state, float64 step) and values."""
+        path, run, student, teacher, opt_state, text = self.make(tmp_path, distinct=True)
+        step, config_text, records = reference_records(path.read_bytes())
+        assert (step, config_text) == (7, text)
+        expected = [(f"student/{n}", t.data) for n, t in student.named_parameters()]
+        expected += [(f"teacher/{n}", t.data)
+                     for n, t in teacher.params.named_parameters()]
+        expected += [("teacher/center_cls", teacher.center_cls.data),
+                     ("teacher/center_patch", teacher.center_patch.data),
+                     ("opt/step", np.array([3.0]))]
+        expected += [(f"opt/m/{n}", a) for n, a in opt_state.m.items()]
+        expected += [(f"opt/v/{n}", a) for n, a in opt_state.v.items()]
+        assert [r[0] for r in records] == [name for name, _ in expected]
+        for (name, magic, version, shape, tag, values), (_, want) in zip(records, expected):
+            assert (magic, version, shape) == (b"INOT", 1, want.shape), name
+            assert tag == (1 if name == "opt/step" else 0), name
+            assert values.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("magic", b"XXXX", "record student/patch_proj/weight has magic b'XXXX' version 1, "
+                           "want b'INOT' version 1"),
+        ("version", b"\x02", "record student/patch_proj/weight has magic b'INOT' "
+                             "version 2, want b'INOT' version 1"),
+        ("tag", b"\x07", "record student/patch_proj/weight has unknown dtype tag 7"),
+        ("name", b"\xff", "corrupt checkpoint ('utf-8' codec can't decode")],
+        ids=["magic", "version", "tag", "name"])
+    def test_foreign_record_header_names_the_file(self, tmp_path, capsys, field, value,
+                                                  problem):
+        """A record whose magic, version or dtype tag the loader does not
+        know, or whose name is not UTF-8: every loader refuses the file,
+        and eval exits 2."""
+        path, *_ = self.make(tmp_path)
+        buf = bytearray(path.read_bytes())
+        start = buf.index(b"INOT")
+        offset = start + {"magic": 0, "version": 4, "tag": 6 + 4 * buf[start + 5],
+                          "name": -1}[field]
+        buf[offset:offset + len(value)] = value
+        path.write_bytes(bytes(buf))
+        message = f"^{re.escape(str(path))}: {re.escape(problem)}"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=message):
+            params_from_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
+        assert f"error: {path}: {problem}" in capsys.readouterr().err
 
     def test_restore_state_is_bitwise(self, tmp_path):
         """Every record comes back: the restored state re-serializes to
@@ -523,11 +609,10 @@ class TestCheckpointFormat:
         assert not any(t.requires_grad for _, t in teacher.params.named_parameters())
 
     def test_restored_parameters_own_their_data(self, tmp_path):
-        """The records are read-only views into the file bytes, most of
-        them misaligned; every parameter is an owned copy."""
+        """Every restored parameter and center owns aligned, writeable
+        data."""
         path, run, *_ = self.make(tmp_path)
         ckpt = load_checkpoint(path)
-        assert any(not arr.flags.aligned for _, arr in ckpt.records)
         student, teacher, _ = restore_state(ckpt, run)
         params, _ = params_from_checkpoint(path)
         tensors = [t for p in (student, teacher.params, params)
@@ -626,7 +711,7 @@ class TestCheckpointFormat:
         rewrite_records(path, lambda records: [
             (n, a if n == "opt/step" else a.astype(np.float64)) for n, a in records])
         ckpt = load_checkpoint(path)
-        assert all(a.dtype == np.float64 for _, a in ckpt.records)
+        assert all(a.dtype == np.float64 for a in ckpt.arrays.values())
         student, teacher, opt_state = restore_state(ckpt, run)
         arrays = list(opt_state.m.values()) + list(opt_state.v.values())
         arrays += [t.data for p in (student, teacher.params) for _, t in p.named_parameters()]
@@ -651,6 +736,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=str(path)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut", [
+        lambda buf, name: 10,
+        lambda buf, name: 17 + 40,
+        lambda buf, name: name + 5,
+        lambda buf, name: name + len("student/patch_proj/weight") + 7,
+        lambda buf, name: name + len("student/patch_proj/weight") + 15 + 10],
+        ids=["header", "config-echo", "record-name", "record-header", "values"])
+    def test_cut_anywhere_names_the_file(self, tmp_path, capsys, cut):
+        """A file cut inside the header, the config echo, a record's name,
+        a record's header or its values is refused as truncated, and eval
+        exits 2 naming it."""
+        path, run, *_ = self.make(tmp_path)
+        buf = path.read_bytes()
+        path.write_bytes(buf[:cut(buf, buf.index(b"student/patch_proj/weight"))])
+        message = f"^{re.escape(str(path))}: truncated"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=message):
+            params_from_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
+        assert f"error: {path}: truncated" in capsys.readouterr().err
+
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path, run, student, teacher, opt_state, text = self.make(tmp_path)
         before = path.read_bytes()
@@ -671,12 +778,12 @@ class TestTrainingLoop:
         for sub in ("a", "b"):
             out = tmp_path / sub
             train(build_run_config(micro_pairs(dataset_root, out)))
-            ckpt = load_checkpoint(out / "checkpoint_001.ckpt")
-            payload = b"".join(name.encode() + arr.tobytes()
-                               for name, arr in ckpt.records)
-            digests.append((out / "train.log").read_bytes() + payload)
+            buf = (out / "checkpoint_001.ckpt").read_bytes()
+            (cfg_len,) = struct.unpack_from("<I", buf, 13)
+            digests.append((out / "train.log").read_bytes() + buf[:13]
+                           + buf[17 + cfg_len:])
         # the config echo embeds the out path, so compare the log and
-        # every parameter/optimizer byte instead of whole files
+        # every checkpoint byte but the echo instead of whole files
         assert digests[0] == digests[1]
 
     def test_artifacts_and_log_shape(self, dataset_root, tmp_path):
@@ -1049,7 +1156,9 @@ class TestEvaluation:
 
 def without_record(buf, student, name):
     """Checkpoint bytes with the record student/<name> cut out."""
-    entry = named_list_bytes([(f"student/{name}", student[name].data)])
+    one = io.BytesIO()
+    _write_checkpoint(one, [(f"student/{name}", student[name].data)], 0, "")
+    entry = one.getvalue()[17:]
     assert buf.count(entry) == 1
     return buf.replace(entry, b"")
 

@@ -42,12 +42,6 @@ from vidcorr.views import load_store, make_crops, sample_clip, sample_clip_masks
 from vidcorr.numerics.rng import _fnv1a
 from vidcorr.numerics import tensor as tensor_module
 from vidcorr.numerics.tensor import DEFAULT_DTYPE, erf
-from vidcorr.numerics.recordio import (
-    named_list_bytes,
-    parse_named_list,
-    parse_tensor_record,
-    tensor_record_bytes,
-)
 
 
 def t64(values, requires_grad=False):
@@ -1001,37 +995,3 @@ class TestRng:
         assert sorted(p.tolist()) == list(range(6))
         n = r.substream("gauss").normal(size=(2, 2))
         assert n.shape == (2, 2)
-
-
-class TestRecordio:
-    """Little-endian tensor records."""
-
-    def test_round_trip_dtypes(self):
-        for dtype in (np.float32, np.float64):
-            arr = np.arange(12, dtype=dtype).reshape(3, 4) / 7
-            buf = tensor_record_bytes(arr)
-            back, offset = parse_tensor_record(buf)
-            assert offset == len(buf)
-            assert back.dtype == dtype
-            assert np.array_equal(back, arr)
-
-    def test_record_layout(self):
-        buf = tensor_record_bytes(np.zeros((2, 3), dtype=np.float32))
-        assert buf[:4] == b"INOT"
-        assert buf[4] == 1  # version
-        assert buf[5] == 2  # rank
-
-    def test_bad_magic_rejected(self):
-        buf = bytearray(tensor_record_bytes(np.zeros(2, dtype=np.float64)))
-        buf[:4] = b"XXXX"
-        with pytest.raises(ValueError):
-            parse_tensor_record(bytes(buf), 0)
-
-    def test_named_list_round_trip(self):
-        items = [("w", np.ones((2, 2), dtype=np.float32)),
-                 ("b", np.zeros(3, dtype=np.float64))]
-        buf = named_list_bytes(items)
-        back, offset = parse_named_list(buf, 0)
-        assert offset == len(buf)
-        assert [name for name, _ in back] == ["w", "b"]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(items, back))

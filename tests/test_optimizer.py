@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from vidcorr.encoder import EncoderParams, ModelConfig
-from vidcorr.numerics import Rng, Tensor, named_list_bytes, parse_named_list
+from vidcorr.numerics import Rng, Tensor
 from vidcorr.harness import (
     CheckpointError,
+    _state_records,
+    _write_checkpoint,
     build_run_config,
     canonical_config_text,
     checkpoint_bytes,
@@ -279,11 +281,9 @@ class TestOptStateSerialization:
             adamw_step(params, grads, state, 1e-3, 0.1, OptimizerConfig())
         teacher = TeacherState.from_student(params, 0.9, 0.9)
         text = canonical_config_text(run)
-        blob = checkpoint_bytes(params, teacher, state, 2, text)
-        header = 17 + len(text.encode())
-        records, _ = parse_named_list(blob, header)
         path = tmp_path / "ck.ckpt"
-        path.write_bytes(blob[:header] + named_list_bytes(edit(records)))
+        with open(path, "wb") as fh:
+            _write_checkpoint(fh, edit(_state_records(params, teacher, state)), 2, text)
         return path, run, state
 
     def test_round_trip_through_records(self, tmp_path):
