@@ -737,19 +737,20 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [
-        lambda buf, name: 10,
-        lambda buf, name: 17 + 40,
-        lambda buf, name: name + 5,
-        lambda buf, name: name + len("student/patch_proj/weight") + 7,
-        lambda buf, name: name + len("student/patch_proj/weight") + 15 + 10],
+        lambda name: 10,
+        lambda name: 17 + 40,
+        lambda name: name + 5,
+        lambda name: name + len("student/patch_proj/weight") + 7,
+        lambda name: name + len("student/patch_proj/weight") + 15 + 10],
         ids=["header", "config-echo", "record-name", "record-header", "values"])
     def test_cut_anywhere_names_the_file(self, tmp_path, capsys, cut):
         """A file cut inside the header, the config echo, a record's name,
-        a record's header or its values is refused as truncated, and eval
-        exits 2 naming it."""
-        path, run, *_ = self.make(tmp_path)
+        a record's header (INOT, version, rank, two extents, tag: 15 bytes)
+        or its values is refused as truncated, and eval exits 2 naming it;
+        cut is the length kept, given where the first record's name starts."""
+        path, *_ = self.make(tmp_path)
         buf = path.read_bytes()
-        path.write_bytes(buf[:cut(buf, buf.index(b"student/patch_proj/weight"))])
+        path.write_bytes(buf[:cut(buf.index(b"student/patch_proj/weight"))])
         message = f"^{re.escape(str(path))}: truncated"
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
